@@ -103,7 +103,7 @@ pub use feature::{Feature, SpatialFeature, TemporalFeature};
 pub use forest::AtypicalForest;
 pub use integrate::integrate;
 pub use integrate_index::IndexedIntegrator;
-pub use query::{Query, QueryEngine, QueryResult, Strategy, QUERY_ID_BASE};
+pub use query::{DaySource, Plan, Query, QueryEngine, QueryResult, Strategy, QUERY_ID_BASE};
 pub use significant::significance_threshold;
 pub use similarity::similarity;
 pub use store::{cluster_matches, FilteredClusters, ForestLevel, ForestStore, StoreBackend};

@@ -14,14 +14,19 @@
 //!   `F(Wᵢ, T)` per pre-defined region, prune micro-clusters entirely
 //!   outside regions that can host a significant cluster (Property 5),
 //!   then integrate. No false negatives.
+//!
+//! All three run through one [`Plan`] over a [`DaySource`]: the in-memory
+//! forest ([`QueryEngine::execute`]), a [`ForestStore`] with predicate
+//! pushdown ([`QueryEngine::execute_stored`]), and the online monitor's
+//! pinned serving snapshot (`cps-serve`'s `ReadView`) differ only in
+//! where a day's micro-clusters and the `F(Wᵢ, T)` vectors come from.
 
 use crate::cluster::AtypicalCluster;
 use crate::forest::AtypicalForest;
 use crate::integrate::{integrate_aligned, IntegrationStats, TimeAlignment};
 use crate::redzone::RedZones;
 use crate::significant::significance_threshold;
-use crate::store::{ForestLevel, ForestStore};
-use cps_core::fx::FxHashSet;
+use crate::store::{FilteredClusters, ForestLevel, ForestStore};
 use cps_core::ids::ClusterIdGen;
 use cps_core::{Params, Result, SensorId, Severity, TimeRange, WindowSpec};
 use cps_geo::grid::SensorPartition;
@@ -29,9 +34,12 @@ use cps_geo::{BoundingBox, RoadNetwork};
 use cps_storage::Predicate;
 use std::time::{Duration, Instant};
 
-/// First cluster id handed out by query-local [`ClusterIdGen`]s (used by
-/// [`QueryEngine::execute_stored`] callers). High enough to never collide
-/// with persisted micro-cluster ids.
+/// First merge id handed out by a query-local [`ClusterIdGen`].
+/// Query-time integration must not consume service or persisted ids
+/// (that would make queries perturb ingest state and each other), so
+/// query callers count from this fixed base: far above any live
+/// generator and distinct from `cps-par`'s temporary-id base (`1 << 62`),
+/// so a query-minted id can never collide with either.
 pub const QUERY_ID_BASE: u64 = 1 << 61;
 
 /// Query processing strategy.
@@ -161,194 +169,200 @@ impl<'a> QueryEngine<'a> {
         &self.params
     }
 
+    /// The [`Plan`] of `query` on this deployment: `W` resolved to its
+    /// sensors.
+    fn plan(&self, spec: WindowSpec, query: &Query, strategy: Strategy) -> Plan<'_> {
+        let scope = query.bbox.map(|bbox| self.network.sensors_in_bbox(&bbox));
+        let n_sensors = scope.as_ref().map_or(self.network.num_sensors(), Vec::len) as u32;
+        Plan {
+            partition: self.partition,
+            params: &self.params,
+            spec,
+            first_day: query.first_day,
+            n_days: query.n_days,
+            scope,
+            n_sensors,
+            strategy,
+            final_check: self.final_check,
+        }
+    }
+
     /// Executes `query` with `strategy` against the forest's day-level
-    /// micro-clusters (Algorithm 4 for `Gui`).
+    /// micro-clusters (Algorithm 4 for `Gui`). Macro ids continue the
+    /// forest's own id sequence.
     pub fn execute(
         &self,
         forest: &mut AtypicalForest,
         query: &Query,
         strategy: Strategy,
     ) -> QueryResult {
-        let start = Instant::now();
-        let spec = forest.spec();
-        let range = spec.day_range(query.first_day, query.n_days);
-
-        // Resolve W: the sensor scope and count.
-        let (scope, n_sensors): (Option<FxHashSet<SensorId>>, u32) = match &query.bbox {
-            Some(bbox) => {
-                let sensors = self.network.sensors_in_bbox(bbox);
-                let n = sensors.len() as u32;
-                (Some(sensors.into_iter().collect()), n)
-            }
-            None => (None, self.network.num_sensors() as u32),
-        };
-        let threshold = significance_threshold(&self.params, range, n_sensors);
-
-        // Candidate micro-clusters: in T, intersecting W.
-        let mut candidates = forest.micros_in_days(query.first_day, query.n_days);
-        if let Some(scope) = &scope {
-            candidates.retain(|c| c.sf.keys().any(|s| scope.contains(&s)));
-        }
-        let candidate_clusters = candidates.len();
-
-        // Strategy-specific filtering.
-        let mut num_red_regions = None;
-        let inputs = match strategy {
-            Strategy::All => candidates,
-            Strategy::Pru => {
-                // Beforehand pruning: only micro-clusters significant at
-                // their own (day) scale survive.
-                let day_range = spec.day_range(query.first_day, 1);
-                let day_threshold = significance_threshold(&self.params, day_range, n_sensors);
-                candidates
-                    .into_iter()
-                    .filter(|c| c.severity() > day_threshold)
-                    .collect()
-            }
-            Strategy::Gui => {
-                let zones =
-                    RedZones::compute(&candidates, self.partition, &self.params, range, n_sensors);
-                num_red_regions = Some(zones.num_red());
-                let (kept, _pruned) = zones.filter(candidates, self.partition);
-                kept
-            }
-        };
-        let input_clusters = inputs.len();
-
-        // Integrate (Algorithm 3) with time-of-day alignment, so recurring
-        // daily events aggregate across the query range.
-        let alignment = TimeAlignment::TimeOfDay {
-            windows_per_day: spec.windows_per_day(),
-        };
-        let (mut macros, integration) =
-            integrate_aligned(inputs, &self.params, alignment, forest.id_gen());
-
-        // Optional final check (Algorithm 4, lines 5–7).
-        let mut final_check_removed = 0;
-        if self.final_check {
-            let before = macros.len();
-            macros.retain(|c| c.severity() > threshold);
-            final_check_removed = before - macros.len();
-        }
-
-        QueryResult {
-            strategy,
-            macros,
-            candidate_clusters,
-            input_clusters,
-            num_red_regions,
-            threshold,
-            n_sensors,
-            range,
-            elapsed: start.elapsed(),
-            integration,
-            final_check_removed,
-        }
+        let mut ids = forest.id_gen().clone();
+        let result = self
+            .plan(forest.spec(), query, strategy)
+            .run(&mut ForestDays(forest), &mut ids)
+            .expect("in-memory day source cannot fail");
+        *forest.id_gen() = ids;
+        result
     }
 
     /// Executes `query` with `strategy` directly against a persisted
     /// [`ForestStore`], pushing the query's scope down into storage as a
     /// [`Predicate`] so the columnar backend skips chunks and whole
-    /// segments without decoding them.
-    ///
-    /// Results are identical to loading every day bucket into a forest
-    /// and calling [`execute`](Self::execute): zone maps only
-    /// over-approximate, and the exact per-cluster filters re-run after
-    /// decode on whatever survives. Pushdown per strategy:
-    ///
-    /// * `All` / `Gui` — the spatial scope `W` becomes a sensor-set
-    ///   predicate (`Gui` still needs every in-scope candidate to compute
-    ///   red zones, so severity stays in memory).
-    /// * `Pru`, whole deployment — the day-scale significance floor is
-    ///   pushed down too; quiet days are skipped as whole segments, and
-    ///   the candidate count comes from segment metadata without
-    ///   decoding a byte.
-    /// * `Pru` with a bbox — scope-only pushdown, because the candidate
-    ///   count (`Fig. 17(b)`'s denominator) is the number of in-scope
-    ///   clusters *before* the severity floor, which only a decode of the
-    ///   scope survivors can establish.
+    /// segments without decoding them (see [`Plan::run`] for what is
+    /// pushed per strategy). Results are identical to loading every day
+    /// bucket into a forest and calling [`execute`](Self::execute).
     ///
     /// `ids` names the generated macro-clusters; seed it at
     /// [`QUERY_ID_BASE`] for collision-free query-local ids.
     pub fn execute_stored(
         &self,
-        store: &ForestStore,
+        mut store: &ForestStore,
         spec: WindowSpec,
         query: &Query,
         strategy: Strategy,
         ids: &mut ClusterIdGen,
     ) -> Result<QueryResult> {
+        self.plan(spec, query, strategy).run(&mut store, ids)
+    }
+}
+
+/// Where a [`Plan`] reads day-level micro-clusters from. Implemented for
+/// the in-memory forest and for a [`ForestStore`] here, and for the
+/// serving layer's pinned snapshot (live days in memory, sealed days in
+/// the store) in `cps-serve`.
+pub trait DaySource {
+    /// The micro-clusters of `day` that match `pred` exactly, with
+    /// `total` = every micro-cluster of the day; `None` when the source
+    /// has nothing for the day. Sources that cannot skip data filter with
+    /// [`FilteredClusters::from_slice`].
+    fn load_day(&mut self, day: u32, pred: &Predicate) -> Result<Option<FilteredClusters>>;
+
+    /// The composed whole-deployment `F(Wᵢ, T)` over the days, when the
+    /// source keeps per-day region totals (Property 4). For an unscoped
+    /// plan the red zones are then known before any day is read, and the
+    /// red-region sensor set is pushed down; `None` (and any scoped plan)
+    /// composes `F` from the loaded candidates instead.
+    fn region_f(&self, _first_day: u32, _n_days: u32) -> Option<Vec<Severity>> {
+        None
+    }
+}
+
+/// An in-memory forest's day level.
+struct ForestDays<'a>(&'a AtypicalForest);
+
+impl DaySource for ForestDays<'_> {
+    fn load_day(&mut self, day: u32, pred: &Predicate) -> Result<Option<FilteredClusters>> {
+        Ok(Some(FilteredClusters::from_slice(self.0.day(day), pred)))
+    }
+}
+
+impl DaySource for &ForestStore {
+    fn load_day(&mut self, day: u32, pred: &Predicate) -> Result<Option<FilteredClusters>> {
+        self.load_filtered(ForestLevel::Day, day, pred)
+    }
+}
+
+/// One query `Q(W, T)` with its strategy, independent of where the
+/// micro-clusters live: the single implementation of Algorithm 4 (and
+/// of the `All`/`Pru` baselines) behind every query entry point.
+pub struct Plan<'a> {
+    /// Pre-defined regions of the red-zone test.
+    pub partition: &'a SensorPartition,
+    /// Significance and integration parameters.
+    pub params: &'a Params,
+    /// Time discretization.
+    pub spec: WindowSpec,
+    /// First day of `T` (global index).
+    pub first_day: u32,
+    /// Number of days in `T`.
+    pub n_days: u32,
+    /// The sensors of `W`; `None` = the whole deployment.
+    pub scope: Option<Vec<SensorId>>,
+    /// `N`: the number of sensors in `W`.
+    pub n_sensors: u32,
+    /// Query processing strategy.
+    pub strategy: Strategy,
+    /// Whether to run Algorithm 4's final severity check (lines 5–7).
+    pub final_check: bool,
+}
+
+impl Plan<'_> {
+    /// Runs the plan over `source`, naming macro-clusters from `ids`.
+    ///
+    /// Each day is read once, with a [`Predicate`] the source may push
+    /// into storage. A scoped query pushes exactly `W`'s sensors, so its
+    /// candidates are the in-scope clusters. An unscoped query counts
+    /// whole days as candidates (from segment metadata on disk) and
+    /// pushes its strategy's filter instead: the day-scale severity floor
+    /// for `Pru`, and for `Gui` the red-region sensors when the source
+    /// composes `F` itself. Sources return exact matches, so pushdown
+    /// changes what is decoded, never the answer.
+    pub fn run(&self, source: &mut impl DaySource, ids: &mut ClusterIdGen) -> Result<QueryResult> {
         let start = Instant::now();
-        let range = spec.day_range(query.first_day, query.n_days);
+        let (params, partition) = (self.params, self.partition);
+        let range = self.spec.day_range(self.first_day, self.n_days);
+        let threshold = significance_threshold(params, range, self.n_sensors);
+        let day_range = self.spec.day_range(self.first_day, 1);
+        let day_threshold = significance_threshold(params, day_range, self.n_sensors);
 
-        // Resolve W: the sensor scope and count.
-        let (scope, n_sensors): (Option<Vec<SensorId>>, u32) = match &query.bbox {
-            Some(bbox) => {
-                let sensors = self.network.sensors_in_bbox(bbox);
-                let n = sensors.len() as u32;
-                (Some(sensors), n)
+        // A source's region totals cover the whole deployment, so only an
+        // unscoped plan may use them; a scoped one composes `F` from its
+        // in-scope candidates below.
+        let mut zones = match self.strategy {
+            Strategy::Gui if self.scope.is_none() => source
+                .region_f(self.first_day, self.n_days)
+                .map(|f| RedZones::from_f(f, partition, params, range, self.n_sensors)),
+            Strategy::All | Strategy::Pru | Strategy::Gui => None,
+        };
+        // `pushed`: the predicate is the strategy's own filter, which the
+        // source applies exactly, so it is not run again below.
+        let (pred, pushed) = match (&self.scope, self.strategy, &zones) {
+            (Some(scope), ..) => (Predicate::all().with_sensors(scope.iter().copied()), false),
+            (None, Strategy::Pru, _) => (Predicate::all().with_severity_above(day_threshold), true),
+            (None, Strategy::Gui, Some(zones)) => {
+                let red = Predicate::all().with_sensors(zones.red_sensors(partition));
+                (red, true)
             }
-            None => (None, self.network.num_sensors() as u32),
-        };
-        let threshold = significance_threshold(&self.params, range, n_sensors);
-        let day_threshold =
-            significance_threshold(&self.params, spec.day_range(query.first_day, 1), n_sensors);
-
-        let scope_pred = match &scope {
-            Some(s) => Predicate::all().with_sensors(s.iter().copied()),
-            None => Predicate::all(),
-        };
-        let severity_pushed = strategy == Strategy::Pru && scope.is_none();
-        let pred = if severity_pushed {
-            scope_pred.with_severity_above(day_threshold)
-        } else {
-            scope_pred
+            (None, ..) => (Predicate::all(), false),
         };
 
         let mut candidate_clusters = 0usize;
-        let mut decoded: Vec<AtypicalCluster> = Vec::new();
-        for day in query.first_day..query.first_day + query.n_days {
-            if let Some(f) = store.load_filtered(ForestLevel::Day, day, &pred)? {
-                // With the floor pushed down the in-range candidate count
-                // is the bucket total (scope is the whole deployment);
-                // otherwise it is the number of exact scope matches.
-                candidate_clusters += if severity_pushed {
-                    f.total
-                } else {
-                    f.clusters.len()
+        let mut inputs: Vec<AtypicalCluster> = Vec::new();
+        for day in self.first_day..self.first_day.saturating_add(self.n_days) {
+            if let Some(loaded) = source.load_day(day, &pred)? {
+                candidate_clusters += match self.scope {
+                    Some(_) => loaded.clusters.len(),
+                    None => loaded.total,
                 };
-                decoded.extend(f.clusters);
+                inputs.extend(loaded.clusters);
             }
         }
 
-        // Strategy-specific filtering on the decoded survivors.
         let mut num_red_regions = None;
-        let inputs = match strategy {
-            Strategy::All => decoded,
-            Strategy::Pru => {
-                if severity_pushed {
-                    decoded // storage already applied the strict day floor
-                } else {
-                    decoded
-                        .into_iter()
-                        .filter(|c| c.severity() > day_threshold)
-                        .collect()
+        match self.strategy {
+            Strategy::All => {}
+            // Beforehand pruning: only micro-clusters significant at their
+            // own (day) scale survive.
+            Strategy::Pru if !pushed => inputs.retain(|c| c.severity() > day_threshold),
+            Strategy::Pru => {}
+            Strategy::Gui => {
+                let zones = zones.get_or_insert_with(|| {
+                    RedZones::compute(&inputs, partition, params, range, self.n_sensors)
+                });
+                num_red_regions = Some(zones.num_red());
+                if !pushed {
+                    inputs.retain(|c| zones.qualifies(c, partition));
                 }
             }
-            Strategy::Gui => {
-                let zones =
-                    RedZones::compute(&decoded, self.partition, &self.params, range, n_sensors);
-                num_red_regions = Some(zones.num_red());
-                let (kept, _pruned) = zones.filter(decoded, self.partition);
-                kept
-            }
-        };
+        }
         let input_clusters = inputs.len();
 
+        // Integrate (Algorithm 3) with time-of-day alignment, so recurring
+        // daily events aggregate across the query range.
         let alignment = TimeAlignment::TimeOfDay {
-            windows_per_day: spec.windows_per_day(),
+            windows_per_day: self.spec.windows_per_day(),
         };
-        let (mut macros, integration) = integrate_aligned(inputs, &self.params, alignment, ids);
+        let (mut macros, integration) = integrate_aligned(inputs, params, alignment, ids);
 
         let mut final_check_removed = 0;
         if self.final_check {
@@ -358,13 +372,13 @@ impl<'a> QueryEngine<'a> {
         }
 
         Ok(QueryResult {
-            strategy,
+            strategy: self.strategy,
             macros,
             candidate_clusters,
             input_clusters,
             num_red_regions,
             threshold,
-            n_sensors,
+            n_sensors: self.n_sensors,
             range,
             elapsed: start.elapsed(),
             integration,
@@ -612,6 +626,44 @@ mod tests {
             }
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A scoped plan composes `F` from its in-scope candidates even over a
+    /// source that keeps whole-deployment region totals: those cover
+    /// sensors outside `W`, so using them would change the red zones.
+    #[test]
+    fn scoped_gui_ignores_whole_deployment_region_f() {
+        struct WholeF<'a>(ForestDays<'a>, &'a SensorPartition);
+        impl DaySource for WholeF<'_> {
+            fn load_day(&mut self, day: u32, pred: &Predicate) -> Result<Option<FilteredClusters>> {
+                self.0.load_day(day, pred)
+            }
+            fn region_f(&self, first_day: u32, n_days: u32) -> Option<Vec<Severity>> {
+                let mut f = vec![Severity::ZERO; self.1.num_regions() as usize];
+                for cluster in self.0 .0.micros_in_days(first_day, n_days) {
+                    for (sensor, severity) in cluster.sf.iter() {
+                        f[self.1.region_of(sensor).index()] += severity;
+                    }
+                }
+                Some(f)
+            }
+        }
+
+        let mut fx = fixture();
+        let params = *fx.forest.params();
+        let engine = QueryEngine::new(&fx.network, &fx.partition, params);
+        let bbox = BoundingBox::of_point(LOS_ANGELES).inflated_miles(2.0);
+        let query = Query::days(0, 14).in_bbox(bbox);
+        let mem = engine.execute(&mut fx.forest, &query, Strategy::Gui);
+        let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
+        let plan = engine.plan(fx.forest.spec(), &query, Strategy::Gui);
+        let sourced = plan
+            .run(&mut WholeF(ForestDays(&fx.forest), &fx.partition), &mut ids)
+            .unwrap();
+        assert_eq!(sourced.num_red_regions, mem.num_red_regions);
+        assert_eq!(sourced.candidate_clusters, mem.candidate_clusters);
+        assert_eq!(sourced.input_clusters, mem.input_clusters);
+        assert_eq!(sourced.macros.len(), mem.macros.len());
     }
 
     /// Whole-deployment `Pru` pushes the day floor into storage: quiet

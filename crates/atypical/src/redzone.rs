@@ -9,7 +9,8 @@
 //! introducing false negatives.
 
 use crate::cluster::AtypicalCluster;
-use cps_core::{Params, RegionId, Severity, TimeRange};
+use crate::significant::significance_threshold;
+use cps_core::{Params, RegionId, SensorId, Severity, TimeRange};
 use cps_geo::grid::SensorPartition;
 
 /// The red-zone classification of a region partition for one query.
@@ -43,7 +44,6 @@ impl RedZones {
         range: TimeRange,
         n_sensors: u32,
     ) -> Self {
-        let threshold = crate::significant::significance_threshold(params, range, n_sensors);
         let mut f_values = vec![Severity::ZERO; partition.num_regions() as usize];
         for cluster in micros {
             for (sensor, severity) in cluster.sf.iter() {
@@ -51,20 +51,35 @@ impl RedZones {
                 f_values[region.index()] += severity;
             }
         }
+        Self::from_f(f_values, partition, params, range, n_sensors)
+    }
+
+    /// Marks red regions from an already composed `F(Wᵢ, T)` vector (one
+    /// entry per region of `partition`) — e.g. summed from per-day
+    /// vectors maintained incrementally, which equals
+    /// [`compute`](Self::compute) on the same micro-clusters by
+    /// distributivity (Property 4). This is the one place the per-region
+    /// density test lives.
+    pub fn from_f(
+        f_values: Vec<Severity>,
+        partition: &SensorPartition,
+        params: &Params,
+        range: TimeRange,
+        n_sensors: u32,
+    ) -> Self {
+        debug_assert_eq!(f_values.len(), partition.num_regions() as usize);
         let red = f_values
             .iter()
             .enumerate()
             .map(|(i, &f)| {
-                let n_i = partition
-                    .sensors_in(cps_core::RegionId::new(i as u32))
-                    .len() as u32;
-                n_i > 0 && f >= crate::significant::significance_threshold(params, range, n_i)
+                let n_i = partition.sensors_in(RegionId::new(i as u32)).len() as u32;
+                n_i > 0 && f >= significance_threshold(params, range, n_i)
             })
             .collect();
         Self {
             f_values,
             red,
-            threshold,
+            threshold: significance_threshold(params, range, n_sensors),
         }
     }
 
@@ -82,6 +97,27 @@ impl RedZones {
     /// Number of red regions.
     pub fn num_red(&self) -> usize {
         self.red.iter().filter(|&&r| r).count()
+    }
+
+    /// The red regions with their `F` values, in region order.
+    pub fn red_regions(&self) -> Vec<(RegionId, Severity)> {
+        self.red
+            .iter()
+            .zip(&self.f_values)
+            .enumerate()
+            .filter(|&(_, (&red, _))| red)
+            .map(|(i, (_, &f))| (RegionId::new(i as u32), f))
+            .collect()
+    }
+
+    /// Every sensor of a red region — the exact pushdown form of
+    /// [`qualifies`](Self::qualifies): a cluster touches a red region iff
+    /// it touches one of these sensors.
+    pub fn red_sensors(&self, partition: &SensorPartition) -> Vec<SensorId> {
+        self.red_regions()
+            .into_iter()
+            .flat_map(|(region, _)| partition.sensors_in(region).iter().copied())
+            .collect()
     }
 
     /// The query-scale significance threshold (`N` = sensors in `W`) — for
@@ -116,7 +152,7 @@ impl RedZones {
 mod tests {
     use super::*;
     use crate::feature::{SpatialFeature, TemporalFeature};
-    use cps_core::{ClusterId, SensorId, Severity, TimeWindow, WindowSpec};
+    use cps_core::{ClusterId, TimeWindow, WindowSpec};
 
     /// Ten sensors, two regions: sensors 0–4 in region 0, 5–9 in region 1.
     fn two_region_partition() -> SensorPartition {

@@ -126,8 +126,9 @@ pub fn decode_cluster(buf: &mut &[u8]) -> Result<AtypicalCluster> {
     Ok(cluster)
 }
 
-/// Writes a cluster set to `path` (atomically via a temp file + rename).
-pub fn write_clusters(path: &Path, clusters: &[AtypicalCluster]) -> Result<()> {
+/// Writes a cluster set to `path` (atomically via a temp file + rename)
+/// and returns the bytes written.
+pub fn write_clusters(path: &Path, clusters: &[AtypicalCluster]) -> Result<u64> {
     write_clusters_with(&Io::real(), path, clusters)
 }
 
@@ -137,7 +138,7 @@ pub fn write_clusters(path: &Path, clusters: &[AtypicalCluster]) -> Result<()> {
 /// fsync, rename over `path`. Each step is one backend operation, so a
 /// fault-injecting backend can crash the protocol at every point and a
 /// recovery test can check the absent-or-complete guarantee.
-pub fn write_clusters_with(io: &Io, path: &Path, clusters: &[AtypicalCluster]) -> Result<()> {
+pub fn write_clusters_with(io: &Io, path: &Path, clusters: &[AtypicalCluster]) -> Result<u64> {
     if let Some(parent) = path.parent() {
         io.create_dir_all(parent)?;
     }
@@ -158,7 +159,7 @@ pub fn write_clusters_with(io: &Io, path: &Path, clusters: &[AtypicalCluster]) -
         f.sync()?;
     }
     io.rename(&tmp, path)?;
-    Ok(())
+    Ok((header.len() + payload.len()) as u64)
 }
 
 /// Reads a cluster set from `path`, verifying the checksum.
@@ -392,7 +393,8 @@ fn decode_cluster_chunk(n: usize, mut buf: &[u8]) -> Result<Vec<(u32, AtypicalCl
     Ok(out)
 }
 
-/// Writes a cluster set as a columnar segment (atomic temp + rename).
+/// Writes a cluster set as a columnar segment (atomic temp + rename) and
+/// returns the bytes written.
 /// Clusters are chunked in first-sensor order so sensor zone maps are
 /// tight; the stored position column lets readers restore the original
 /// order exactly.
@@ -400,7 +402,7 @@ pub fn write_clusters_columnar_with(
     io: &Io,
     path: &Path,
     clusters: &[AtypicalCluster],
-) -> Result<()> {
+) -> Result<u64> {
     let mut order: Vec<u32> = (0..clusters.len() as u32).collect();
     order.sort_by_key(|&i| {
         let c = &clusters[i as usize];
@@ -430,6 +432,23 @@ pub struct FilteredClusters {
     pub total: usize,
     /// Scan counters (chunks decoded/skipped, bytes decoded).
     pub scan: SegmentScan,
+}
+
+impl FilteredClusters {
+    /// The clusters of an in-memory bucket that match `pred` (cloned, in
+    /// order) — the answer [`ForestStore::load_filtered`] gives for the
+    /// same bucket on disk.
+    pub fn from_slice(clusters: &[AtypicalCluster], pred: &Predicate) -> Self {
+        Self {
+            clusters: clusters
+                .iter()
+                .filter(|c| cluster_matches(c, pred))
+                .cloned()
+                .collect(),
+            total: clusters.len(),
+            scan: SegmentScan::default(),
+        }
+    }
 }
 
 /// Reads the clusters of a columnar segment that match `pred`, restored
@@ -644,22 +663,23 @@ impl ForestStore {
 
     /// Persists one bucket of a level, then removes the other backend's
     /// stale twin (if any) so readers cannot resolve outdated data.
+    /// Returns the bytes written through the store's [`Io`].
     pub fn save(
         &self,
         level: ForestLevel,
         bucket: u32,
         clusters: &[AtypicalCluster],
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let path = self.path_as(self.backend, level, bucket);
-        match self.backend {
+        let bytes = match self.backend {
             StoreBackend::Row => write_clusters_with(&self.io, &path, clusters)?,
             StoreBackend::Columnar => write_clusters_columnar_with(&self.io, &path, clusters)?,
-        }
+        };
         let twin = self.path_as(self.backend.other(), level, bucket);
         if twin.exists() {
             self.io.remove_file(&twin)?;
         }
-        Ok(())
+        Ok(bytes)
     }
 
     /// Loads one bucket, or `None` if it was never materialized.

@@ -9,7 +9,6 @@
 use crate::table::{pct, secs, Table};
 use crate::workbench::Workbench;
 use atypical::event::extract_events;
-use atypical::redzone::RedZones;
 use atypical::{Query, QueryEngine, Strategy};
 use cps_core::{Params, Result};
 use cps_index::{NaiveNeighbors, StIndex};
@@ -18,10 +17,6 @@ use std::time::Instant;
 /// Red-zone filter rate and granularity sweep (14-day query).
 pub fn run_redzone(wb: &Workbench, params: &Params) -> Result<Vec<Table>> {
     let mut forest = wb.build_forest_for_days(14, params)?;
-    let spec = forest.spec();
-    let range = spec.day_range(0, 14);
-    let n_sensors = wb.network().num_sensors() as u32;
-    let micros = forest.micros_in_days(0, 14);
 
     let mut table = Table::new(
         "Ablation: red-zone granularity (14-day query)",
@@ -35,19 +30,17 @@ pub fn run_redzone(wb: &Workbench, params: &Params) -> Result<Vec<Table>> {
     );
     for &cell in &[1.5, 3.0, 6.0, 12.0] {
         let partition = wb.partition_with_cell(cell);
-        let zones = RedZones::compute(&micros, &partition, params, range, n_sensors);
-        let (kept, pruned) = zones.filter(micros.clone(), &partition);
-        let filter_rate = pruned.len() as f64 / micros.len().max(1) as f64;
         let engine = QueryEngine::new(wb.network(), &partition, *params);
         let result = engine.execute(&mut forest, &Query::days(0, 14), Strategy::Gui);
+        let pruned = result.candidate_clusters - result.input_clusters;
+        let filter_rate = pruned as f64 / result.candidate_clusters.max(1) as f64;
         table.row(vec![
             format!("{cell}"),
             partition.num_regions().to_string(),
-            zones.num_red().to_string(),
+            result.num_red_regions.unwrap_or_default().to_string(),
             pct(filter_rate),
             secs(result.elapsed),
         ]);
-        let _ = kept;
     }
     Ok(vec![table])
 }

@@ -31,9 +31,9 @@ use cps_monitor::{
     RecoveryReport,
 };
 use cps_sim::{build_source, Domain, Scale, SimConfig, Source, SourceConfig};
+use cps_testkit::fixtures::temp_dir;
 use cps_testkit::{FaultIo, FaultKind, FaultPlan};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -167,19 +167,6 @@ pub struct RecoveryBenchReport {
     pub degradation: DegradationResult,
     /// Feed length actually used (after `max_records`).
     pub feed_records: u64,
-}
-
-/// A fresh directory under the system temp root, unique per call so
-/// repeated iterations never see each other's WAL state.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-bench-recovery-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir
 }
 
 /// The domain-matched skewed companion source for the batched sweep:
@@ -328,7 +315,10 @@ fn timed_ingest_batched(
     }
     service.finish();
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    (ms, canonical_micros(&handle.live_micro_clusters()))
+    (
+        ms,
+        canonical_micros(&handle.read_view().live_micro_clusters()),
+    )
 }
 
 /// Feeds the whole stream with group commit on and the checkpoint
@@ -356,7 +346,7 @@ fn timed_recovery(
         "suffix fractions in (0.5, 1.0) would fire a second checkpoint"
     );
 
-    let wal_dir = fresh_dir("rec");
+    let wal_dir = temp_dir("rec");
     let durability = DurabilityConfig {
         wal_dir: Some(wal_dir.clone()),
         fsync: FsyncPolicy::Group,
@@ -424,7 +414,7 @@ fn measure_degradation(
             })
             .collect(),
     );
-    let wal_dir = fresh_dir("degraded");
+    let wal_dir = temp_dir("degraded");
     let mut mc = monitor_config(
         config,
         late_sim.as_ref(),
@@ -533,7 +523,7 @@ pub fn run(config: &RecoveryBenchConfig) -> RecoveryBenchReport {
         .map(|&mode| {
             let mut best_ms = f64::INFINITY;
             for _ in 0..iters {
-                let wal_dir = (mode != "off").then(|| fresh_dir("ingest"));
+                let wal_dir = (mode != "off").then(|| temp_dir("ingest"));
                 let mc =
                     monitor_config(config, sim.as_ref(), durability_for(mode, wal_dir.clone()));
                 best_ms = best_ms.min(timed_ingest(&mc, &network, &records));
@@ -632,7 +622,7 @@ pub fn run(config: &RecoveryBenchConfig) -> RecoveryBenchReport {
                 let mut best_ms = f64::INFINITY;
                 let mut state = None;
                 for _ in 0..iters {
-                    let wal_dir = (mode != "off").then(|| fresh_dir("batch"));
+                    let wal_dir = (mode != "off").then(|| temp_dir("batch"));
                     let mc =
                         monitor_config(config, sim.as_ref(), durability_for(mode, wal_dir.clone()));
                     let (ms, fp) = timed_ingest_batched(&mc, net, feed, batch_size);
@@ -859,7 +849,7 @@ mod tests {
             assert!(r.replayed_records < report.feed_records);
         }
 
-        let path = fresh_dir("test").join("BENCH_recovery_test.json");
+        let path = temp_dir("test").join("BENCH_recovery_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");
@@ -919,7 +909,7 @@ mod tests {
         assert_eq!(report.recovery.len(), 4);
         assert_eq!(report.batched.len(), 16);
 
-        let path = fresh_dir("test-audit").join("BENCH_recovery_audit_test.json");
+        let path = temp_dir("test-audit").join("BENCH_recovery_audit_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");

@@ -43,9 +43,9 @@ use cps_geo::{BoundingBox, RoadNetwork, UniformGrid};
 use cps_serve::{LiveSnapshot, ReadView, ServeContext};
 use cps_sim::{build_source, Domain, Scale, SimConfig, SourceConfig};
 use cps_storage::{Io, IoSnapshot};
+use cps_testkit::fixtures::temp_dir;
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -137,18 +137,6 @@ pub struct SegmentBenchReport {
     /// Largest decode reduction among the selective cells — the
     /// headline number.
     pub best_selective_reduction: f64,
-}
-
-/// A fresh directory under the system temp root, unique per call.
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-bench-segment-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create bench temp dir");
-    dir
 }
 
 /// Runs `f` `iters` times against `store`, keeping the best wall-clock;
@@ -304,7 +292,7 @@ fn run_scenario(config: &SegmentBenchConfig, scenario: &'static str) -> Vec<Cell
 
     let mut stores = Vec::new();
     for backend in [StoreBackend::Row, StoreBackend::Columnar] {
-        let dir = fresh_dir(&format!("{scenario}-{}", backend.name()));
+        let dir = temp_dir(&format!("{scenario}-{}", backend.name()));
         let store = Arc::new(
             ForestStore::open_with_backend(&dir, Io::real(), backend).expect("store opens"),
         );
@@ -573,7 +561,7 @@ mod tests {
         assert_eq!(control.columnar.segments_skipped, 0);
         assert_eq!(control.columnar.chunks_skipped, 0);
 
-        let path = fresh_dir("test").join("BENCH_segments_test.json");
+        let path = temp_dir("test").join("BENCH_segments_test.json");
         save_json(&report, &config, &path).expect("save json");
         let text = std::fs::read_to_string(&path).expect("read back");
         let doc: serde::Value = serde_json::from_str(&text).expect("valid json");

@@ -1,11 +1,9 @@
 //! Mutable query-side state of the running service.
 //!
-//! The merger thread is the only writer. Queries take one of two paths:
-//! the classic mutex path (short read passes under the same lock the
-//! merger writes under — kept as the differential-test oracle) and the
-//! lock-free snapshot path, where the merger publishes immutable
-//! [`cps_serve::LiveSnapshot`]s at a configurable cadence and readers pin
-//! them through a [`cps_serve::ReadView`] without ever touching the lock.
+//! The merger thread is the only writer, and no query reads this state
+//! directly: the merger publishes immutable [`cps_serve::LiveSnapshot`]s
+//! of it at a configurable cadence, and readers pin them through a
+//! [`cps_serve::ReadView`] without ever touching the lock.
 //!
 //! To make publication cheap, every container a snapshot exposes is held
 //! copy-on-write: day buckets, per-day region `F` vectors, and the

@@ -366,8 +366,8 @@ impl Merger {
         self.finalize_all();
         self.persist_complete_days();
         // Final publication: after `finish` joins this thread, the latest
-        // snapshot equals the quiescent live state, so [`ReadView`] and
-        // the mutex path answer identically.
+        // snapshot equals the quiescent live state, so every [`ReadView`]
+        // pinned from then on answers over the complete feed.
         let mut live = self.shared.live.lock();
         self.shared.publish_snapshot(&mut live);
     }
@@ -609,12 +609,7 @@ impl Merger {
                 live.evict_day(day).expect("day key observed under lock")
             };
             match store.save(atypical::store::ForestLevel::Day, day, &micros) {
-                Ok(()) => {
-                    let bytes = std::fs::metadata(
-                        store.bucket_path(atypical::store::ForestLevel::Day, day),
-                    )
-                    .map(|m| m.len())
-                    .unwrap_or(0);
+                Ok(bytes) => {
                     self.metrics()
                         .days_persisted
                         .fetch_add(1, Ordering::Relaxed);
@@ -630,10 +625,13 @@ impl Merger {
                     self.clusters_since_publish = 0;
                     self.windows_since_publish = 0;
                 }
-                Err(e) => {
-                    // Persistence is an optimization; keep serving from
-                    // memory rather than killing the merger.
-                    eprintln!("cps-monitor: failed to persist day {day}: {e}");
+                Err(_) => {
+                    // Persistence is an optimization: count the failure and
+                    // keep serving the day from memory; the next seal
+                    // retries it.
+                    self.metrics()
+                        .persist_failures
+                        .fetch_add(1, Ordering::Relaxed);
                     let mut live = self.shared.live.lock();
                     live.unevict_day(day, micros);
                     return;

@@ -56,6 +56,9 @@ pub struct Metrics {
     pub days_persisted: AtomicU64,
     /// Bytes written to the snapshot store.
     pub snapshot_bytes: AtomicU64,
+    /// Day persists that failed; the day stays live in memory and the
+    /// next seal retries it.
+    pub persist_failures: AtomicU64,
     /// Shard workers observed dead (send to their channel failed, or
     /// their thread panicked). Cumulative: a respawned worker's death
     /// stays counted here — `dead_shards` reflects current liveness.
@@ -119,6 +122,7 @@ impl Metrics {
             snapshots_published: AtomicU64::new(0),
             days_persisted: AtomicU64::new(0),
             snapshot_bytes: AtomicU64::new(0),
+            persist_failures: AtomicU64::new(0),
             workers_dead: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -236,6 +240,7 @@ impl Metrics {
             snapshots_published: self.snapshots_published.load(Ordering::Relaxed),
             days_persisted: self.days_persisted.load(Ordering::Relaxed),
             snapshot_bytes: self.snapshot_bytes.load(Ordering::Relaxed),
+            persist_failures: self.persist_failures.load(Ordering::Relaxed),
             workers_dead: self.workers_dead.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
             wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
@@ -303,6 +308,7 @@ pub struct MetricsSnapshot {
     pub snapshots_published: u64,
     pub days_persisted: u64,
     pub snapshot_bytes: u64,
+    pub persist_failures: u64,
     pub workers_dead: u64,
     pub wal_appends: u64,
     pub wal_bytes: u64,
@@ -371,8 +377,8 @@ impl fmt::Display for MetricsSnapshot {
         writeln!(f, "snapshots published {:>10}", self.snapshots_published)?;
         writeln!(
             f,
-            "days persisted      {:>10}  ({} bytes)",
-            self.days_persisted, self.snapshot_bytes
+            "days persisted      {:>10}  ({} bytes, {} failures)",
+            self.days_persisted, self.snapshot_bytes, self.persist_failures
         )?;
         writeln!(
             f,
@@ -440,6 +446,7 @@ mod tests {
     fn degradation_counters_flow_into_snapshots() {
         let m = Metrics::new(2);
         m.checkpoint_failures.fetch_add(2, Ordering::Relaxed);
+        m.persist_failures.fetch_add(1, Ordering::Relaxed);
         m.count_shed(1, 5);
         m.count_quarantined(QuarantineReason::Malformed);
         m.count_quarantined(QuarantineReason::OutOfOrder);
@@ -455,6 +462,7 @@ mod tests {
 
         let snap = m.snapshot(Duration::from_secs(1));
         assert_eq!(snap.checkpoint_failures, 2);
+        assert_eq!(snap.persist_failures, 1);
         assert_eq!(snap.records_shed, 5);
         assert_eq!(snap.shed_per_shard, vec![0, 5]);
         assert_eq!(snap.records_quarantined, 4);
@@ -469,6 +477,7 @@ mod tests {
         assert!(text.contains("records quarantined"), "{text}");
         assert!(text.contains("io retries"), "{text}");
         assert!(text.contains("checkpoint failures"), "{text}");
+        assert!(text.contains("1 failures"), "{text}");
     }
 
     #[test]

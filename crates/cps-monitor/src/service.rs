@@ -66,21 +66,14 @@ use crate::live::LiveState;
 use crate::merger::{Merger, MergerMsg};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::shard::{BoundaryInfo, ShardMap};
-use atypical::integrate::{integrate_aligned, TimeAlignment};
 use atypical::online::{OnlineExtractor, OutOfOrderRecord, SealedRawEvent};
-use atypical::significant::significance_threshold;
-use atypical::store::{ForestLevel, ForestStore};
-use atypical::AtypicalCluster;
-use cps_core::ids::ClusterIdGen;
-use cps_core::{
-    AtypicalRecord, Params, RecordBatch, RegionId, SensorId, Severity, TimeRange, TimeWindow,
-    WindowSpec,
-};
+use atypical::store::ForestStore;
+use cps_core::{AtypicalRecord, Params, RecordBatch, SensorId, TimeWindow, WindowSpec};
 use cps_geo::grid::{SensorPartition, UniformGrid};
 use cps_geo::RoadNetwork;
 use cps_index::st_index::max_gap_windows;
 pub use cps_serve::GuidedQuery;
-use cps_serve::{ReadView, ServeContext, ServeHandle, ServeState, QUERY_ID_BASE};
+use cps_serve::{ReadView, ServeContext, ServeHandle, ServeState};
 use cps_storage::wal::{read_wal, repair_tail, truncate_segments_below, SyncPolicy, WalWriter};
 use cps_storage::{Io, RetryIo};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
@@ -2046,18 +2039,13 @@ impl MonitorService {
 
 /// Cloneable, thread-safe query facade over the service.
 ///
-/// Two read paths coexist:
-///
-/// - The methods below answer against the **live state** under its mutex —
-///   always the absolute freshest answer, but each call contends with the
-///   merger for the lock.
-/// - [`read_view`](Self::read_view) pins the latest **published snapshot**
-///   as a lock-free [`ReadView`] (and [`serve`](Self::serve) adds the
-///   result cache in front). Snapshot reads never block ingest and a
-///   pinned view is internally consistent across a multi-step drill-down;
-///   they trail the live state by at most the configured publication
-///   cadence. At quiescence (after [`MonitorService::finish`]) both paths
-///   answer identically.
+/// Every query reads a **published snapshot**, never the merger's live
+/// state: [`read_view`](Self::read_view) pins the latest one as a
+/// lock-free [`ReadView`] (internally consistent across a multi-step
+/// drill-down), and [`serve`](Self::serve) puts the result cache in
+/// front. Snapshots trail the live state by at most the configured
+/// publication cadence; after [`MonitorService::finish`] the merger's
+/// final publication equals the quiescent live state.
 #[derive(Clone)]
 pub struct MonitorHandle {
     shared: Arc<SharedState>,
@@ -2081,39 +2069,10 @@ impl MonitorHandle {
         ServeHandle::new(self.shared.serve.clone())
     }
 
-    /// The live macro-clusters (Algorithm 3 fixpoint over every finalized
-    /// micro-cluster so far), from the mutex path.
-    pub fn live_macro_clusters(&self) -> Vec<AtypicalCluster> {
-        self.shared.live.lock().macros.snapshot()
-    }
-
-    /// Every live (not yet persisted) micro-cluster, from the mutex path.
-    pub fn live_micro_clusters(&self) -> Vec<AtypicalCluster> {
-        let live = self.shared.live.lock();
-        live.micros_by_day
-            .values()
-            .flat_map(|v| v.iter().cloned())
-            .collect()
-    }
-
-    /// One day's micro-clusters, from live memory or the snapshot store.
-    pub fn micro_clusters_for_day(&self, day: u32) -> cps_core::Result<Vec<AtypicalCluster>> {
-        {
-            let live = self.shared.live.lock();
-            if let Some(micros) = live.micros_by_day.get(&day) {
-                return Ok(micros.as_ref().clone());
-            }
-        }
-        match &self.shared.store {
-            Some(store) => Ok(store.load(ForestLevel::Day, day)?.unwrap_or_default()),
-            None => Ok(Vec::new()),
-        }
-    }
-
     /// Builds an offline atypical forest over days
     /// `[first_day, first_day + n_days)` from the service's micro-clusters
-    /// (live memory plus the snapshot store) and materializes every week
-    /// and month level the range covers.
+    /// (one pinned [`ReadView`]: live days plus the snapshot store) and
+    /// materializes every week and month level the range covers.
     ///
     /// Roll-ups fan out over the configured [`Params::parallelism`]
     /// workers through the deterministic parallel engine, so the returned
@@ -2124,112 +2083,12 @@ impl MonitorHandle {
         first_day: u32,
         n_days: u32,
     ) -> cps_core::Result<atypical::AtypicalForest> {
+        let view = self.read_view();
         let mut forest = atypical::AtypicalForest::new(self.shared.spec, self.shared.params);
         for day in first_day..first_day.saturating_add(n_days) {
-            forest.insert_day(day, self.micro_clusters_for_day(day)?);
+            forest.insert_day(day, view.micro_clusters_for_day(day)?.to_vec());
         }
         forest.materialize_range(first_day, n_days);
         Ok(forest)
-    }
-
-    /// Red regions over a whole-day range, with their `F` values, from the
-    /// incrementally maintained per-day severity vectors (equal to
-    /// [`atypical::redzone::RedZones::compute`] on the same micro-clusters
-    /// by distributivity, Property 4).
-    pub fn red_regions(&self, first_day: u32, n_days: u32) -> Vec<(RegionId, Severity)> {
-        let range = self.shared.spec.day_range(first_day, n_days);
-        let f = self.compose_region_f(first_day, n_days);
-        self.mark_red(&f, range)
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, red)| red)
-            .map(|(i, _)| (RegionId::new(i as u32), f[i]))
-            .collect()
-    }
-
-    /// Red-zone-guided query over whole days (Algorithm 4): micro-clusters
-    /// outside every red region are pruned — safely, per Property 5 —
-    /// before time-of-day-aligned integration.
-    pub fn query_guided(&self, first_day: u32, n_days: u32) -> cps_core::Result<GuidedQuery> {
-        let spec = self.shared.spec;
-        let params = &self.shared.params;
-        let range = spec.day_range(first_day, n_days);
-        let n_sensors = self.shared.network.num_sensors() as u32;
-        let threshold = significance_threshold(params, range, n_sensors);
-
-        let f = self.compose_region_f(first_day, n_days);
-        let red = self.mark_red(&f, range);
-        let num_red_regions = red.iter().filter(|&&r| r).count();
-
-        let mut candidates = Vec::new();
-        for day in first_day..first_day.saturating_add(n_days) {
-            candidates.extend(self.micro_clusters_for_day(day)?);
-        }
-        let candidate_clusters = candidates.len();
-        let partition = &self.shared.partition;
-        let inputs: Vec<AtypicalCluster> = candidates
-            .into_iter()
-            .filter(|c| c.sf.keys().any(|s| red[partition.region_of(s).index()]))
-            .collect();
-        let input_clusters = inputs.len();
-
-        let alignment = TimeAlignment::TimeOfDay {
-            windows_per_day: spec.windows_per_day(),
-        };
-        // Query-local id generator (fixed base): queries never consume
-        // service ids, so the same state always yields the same result —
-        // and the mutex path agrees bit-for-bit with [`ReadView`].
-        let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
-        let (macros, _stats) = integrate_aligned(inputs, params, alignment, &mut ids);
-        Ok(GuidedQuery {
-            range,
-            macros,
-            threshold,
-            num_red_regions,
-            candidate_clusters,
-            input_clusters,
-        })
-    }
-
-    /// The significant clusters of a whole-day range (Definition 5),
-    /// via [`query_guided`](Self::query_guided).
-    pub fn significant_clusters(
-        &self,
-        first_day: u32,
-        n_days: u32,
-    ) -> cps_core::Result<Vec<AtypicalCluster>> {
-        let mut result = self.query_guided(first_day, n_days)?;
-        result.macros.retain(|c| c.severity() > result.threshold);
-        Ok(result.macros)
-    }
-
-    /// Sums the per-day region `F` vectors over `[first_day, first_day + n_days)`.
-    fn compose_region_f(&self, first_day: u32, n_days: u32) -> Vec<Severity> {
-        let num_regions = self.shared.partition.num_regions() as usize;
-        let mut f = vec![Severity::ZERO; num_regions];
-        let live = self.shared.live.lock();
-        for (_, day_f) in live
-            .region_f_by_day
-            .range(first_day..first_day.saturating_add(n_days))
-        {
-            for (acc, &s) in f.iter_mut().zip(day_f.iter()) {
-                *acc += s;
-            }
-        }
-        f
-    }
-
-    /// Applies the per-region significance-density test of
-    /// [`atypical::redzone::RedZones::compute`] to composed `F` values.
-    fn mark_red(&self, f: &[Severity], range: TimeRange) -> Vec<bool> {
-        let partition = &self.shared.partition;
-        let params = &self.shared.params;
-        f.iter()
-            .enumerate()
-            .map(|(i, &fv)| {
-                let n_i = partition.sensors_in(RegionId::new(i as u32)).len() as u32;
-                n_i > 0 && fv >= significance_threshold(params, range, n_i)
-            })
-            .collect()
     }
 }

@@ -108,8 +108,8 @@ fn fingerprint(service: MonitorService) -> Fingerprint {
         .day(0)
         .to_vec();
     (
-        handle.live_micro_clusters(),
-        handle.live_macro_clusters(),
+        handle.read_view().live_micro_clusters(),
+        handle.read_view().live_macro_clusters().to_vec(),
         forest_day,
     )
 }

@@ -2,7 +2,7 @@
 //! persistence, and the incrementally maintained red zones.
 
 use atypical::redzone::RedZones;
-use cps_core::{AtypicalRecord, RegionId, Severity, TimeWindow};
+use cps_core::{AtypicalRecord, TimeWindow};
 use cps_geo::grid::UniformGrid;
 use cps_monitor::{MonitorConfig, MonitorService, OverflowPolicy};
 use cps_sim::{Scale, SimConfig, TrafficSim};
@@ -114,11 +114,12 @@ fn persisted_days_remain_queryable_and_red_zones_match_batch() {
     assert!(metrics.micro_clusters > 0, "{metrics}");
 
     // The persisted day left live memory but still answers queries.
-    assert!(handle.live_micro_clusters().is_empty());
-    let micros = handle.micro_clusters_for_day(0).expect("store read");
+    assert!(handle.read_view().live_micro_clusters().is_empty());
+    let view = handle.read_view();
+    let micros = view.micro_clusters_for_day(0).expect("store read");
     assert_eq!(micros.len() as u64, metrics.micro_clusters);
 
-    let result = handle.query_guided(0, 1).expect("guided query");
+    let result = view.query_guided(0, 1).expect("guided query");
     assert_eq!(result.candidate_clusters as u64, metrics.micro_clusters);
     assert!(result.num_red_regions > 0);
 
@@ -133,13 +134,7 @@ fn persisted_days_remain_queryable_and_red_zones_match_batch() {
         range,
         network.num_sensors() as u32,
     );
-    let incremental = handle.red_regions(0, 1);
-    let batch: Vec<(RegionId, Severity)> = (0..partition.num_regions())
-        .map(RegionId::new)
-        .filter(|&r| zones.is_red(r))
-        .map(|r| (r, zones.f_value(r)))
-        .collect();
-    assert_eq!(incremental, batch);
+    assert_eq!(view.red_regions(0, 1), zones.red_regions());
 
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,28 +1,23 @@
-//! The snapshot read path must never change an answer: at quiescence
+//! The snapshot read path must answer like the paper: at quiescence
 //! (after `finish`, which joins the merger behind its final publication)
 //! every query through a pinned [`ReadView`], through the cached
-//! [`ServeHandle`], and through a cache-disabled handle is bit-identical
-//! to the mutex-path oracle — with and without a snapshot store, and for
-//! a service rebuilt by crash recovery before it ingests anything new.
+//! [`ServeHandle`], and through a cache-disabled handle equals the
+//! offline pipeline (`QueryEngine::execute` with `Strategy::Gui`) over the
+//! same micro-clusters — with and without a snapshot store, and for a
+//! service rebuilt by crash recovery before it ingests anything new.
+//!
+//! [`ReadView`]: cps_monitor::ReadView
+//! [`ServeHandle`]: cps_monitor::ServeHandle
 
 use cps_monitor::{
     DurabilityConfig, FsyncPolicy, MonitorConfig, MonitorHandle, MonitorService, OverflowPolicy,
 };
 use cps_sim::{Scale, SimConfig, TrafficSim};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use cps_testkit::conformance::{assert_leaves_match_extraction, assert_serving_matches_offline};
+use cps_testkit::fixtures::temp_dir;
 use std::sync::Arc;
 
 const DAYS: u32 = 3;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("cps-serving-diff-{}-{tag}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create test temp dir");
-    dir
-}
 
 fn sim() -> TrafficSim {
     // Hot-region skew on: the differential guarantee must hold for the
@@ -47,12 +42,14 @@ fn base_config(sim: &TrafficSim) -> MonitorConfig {
 }
 
 /// Runs the feed to quiescence and returns the handle (the service itself
-/// is consumed by `finish`).
+/// is consumed by `finish`), after checking its day leaves against an
+/// offline extraction of the same feed.
 fn run_to_quiescence(config: &MonitorConfig, sim: &TrafficSim) -> MonitorHandle {
     let network = Arc::new(sim.network().clone());
     let mut service = MonitorService::start(config, network).expect("service starts");
     let handle = service.handle();
-    for record in feed(sim) {
+    let records = feed(sim);
+    for &record in &records {
         assert!(service.ingest(record).expect("healthy ingest"));
     }
     let metrics = service.finish();
@@ -60,74 +57,24 @@ fn run_to_quiescence(config: &MonitorConfig, sim: &TrafficSim) -> MonitorHandle 
         metrics.snapshots_published > 0,
         "the merger must publish: {metrics}"
     );
+    assert_leaves_match_extraction(&handle, sim.network(), config, &records, DAYS, "serving");
     handle
 }
 
-/// Every query of the surface, through all three read paths, over every
-/// whole-day range of the feed. The cached queries run twice so the
-/// second answer is served from the cache and must still match.
-fn assert_paths_agree(handle: &MonitorHandle) {
-    let serve = handle.serve();
-    let view = handle.read_view();
-    for first in 0..DAYS {
-        for n in 1..=(DAYS - first) {
-            let red = handle.red_regions(first, n);
-            let guided = handle.query_guided(first, n).expect("mutex query");
-            let significant = handle.significant_clusters(first, n).expect("mutex query");
-            assert_eq!(view.red_regions(first, n), red, "red_regions({first},{n})");
-            assert_eq!(
-                view.query_guided(first, n).expect("view query"),
-                guided,
-                "query_guided({first},{n})"
-            );
-            assert_eq!(
-                view.significant_clusters(first, n).expect("view query"),
-                significant,
-                "significant_clusters({first},{n})"
-            );
-            for round in 0..2 {
-                assert_eq!(
-                    *serve.red_regions(first, n),
-                    red,
-                    "cached red_regions({first},{n}) round {round}"
-                );
-                assert_eq!(
-                    *serve.query_guided(first, n).expect("cached query"),
-                    guided,
-                    "cached query_guided({first},{n}) round {round}"
-                );
-                assert_eq!(
-                    *serve.significant_clusters(first, n).expect("cached query"),
-                    significant,
-                    "cached significant_clusters({first},{n}) round {round}"
-                );
-            }
-        }
-    }
-    for day in 0..DAYS {
-        let micros = handle.micro_clusters_for_day(day).expect("mutex query");
-        assert_eq!(
-            *view.micro_clusters_for_day(day).expect("view query"),
-            micros,
-            "micro_clusters_for_day({day})"
-        );
-        assert_eq!(
-            *serve.micro_clusters_for_day(day).expect("cached query"),
-            micros,
-            "cached micro_clusters_for_day({day})"
-        );
-    }
-    let macros = handle.live_macro_clusters();
-    assert_eq!(*view.live_macro_clusters(), macros, "live_macro_clusters");
-    assert_eq!(*serve.live_macro_clusters(), macros);
+/// Every query of the surface, through the read view and the cached
+/// handle, over every whole-day range of the feed, against the offline
+/// oracle.
+fn assert_paths_agree(handle: &MonitorHandle, config: &MonitorConfig, sim: &TrafficSim) {
+    assert_serving_matches_offline(handle, sim.network(), config, DAYS, "serving");
 }
 
 /// All-live configuration: no store, every day answered from memory.
 #[test]
-fn snapshot_paths_match_mutex_at_quiescence() {
+fn snapshot_paths_match_offline_at_quiescence() {
     let sim = sim();
-    let handle = run_to_quiescence(&base_config(&sim), &sim);
-    assert_paths_agree(&handle);
+    let config = base_config(&sim);
+    let handle = run_to_quiescence(&config, &sim);
+    assert_paths_agree(&handle, &config, &sim);
     let stats = handle.serve().cache_stats();
     assert!(stats.hits > 0, "second rounds must hit: {stats:?}");
 }
@@ -136,9 +83,9 @@ fn snapshot_paths_match_mutex_at_quiescence() {
 /// from disk, live days from the snapshot — same answers either way, and
 /// sealed-range cache entries are immutable (hits survive any epoch).
 #[test]
-fn snapshot_paths_match_mutex_with_sealed_days() {
+fn snapshot_paths_match_offline_with_sealed_days() {
     let sim = sim();
-    let dir = fresh_dir("store");
+    let dir = temp_dir("serving-diff-store");
     let config = MonitorConfig {
         snapshot_dir: Some(dir.clone()),
         ..base_config(&sim)
@@ -150,7 +97,7 @@ fn snapshot_paths_match_mutex_with_sealed_days() {
         "a multi-day feed with a store must seal days"
     );
     assert!(view.seal_epoch() > 0);
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -164,7 +111,7 @@ fn cache_disabled_serves_identical_results() {
     let handle = run_to_quiescence(&config, &sim);
     let serve = handle.serve();
     assert!(!serve.cache_enabled());
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
     let stats = serve.cache_stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.stale, stats.entries),
@@ -182,16 +129,16 @@ fn coarse_cadence_still_converges_at_quiescence() {
     config.serving.publish_every_clusters = 1_000;
     config.serving.publish_every_windows = 500;
     let handle = run_to_quiescence(&config, &sim);
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
 }
 
 /// A crash-recovered service publishes its restored state as the initial
 /// snapshot: the read view answers correctly before any new ingest.
 #[test]
-fn recovered_service_initial_view_matches_mutex() {
+fn recovered_service_initial_view_matches_offline() {
     let sim = sim();
     let network = Arc::new(sim.network().clone());
-    let wal_dir = fresh_dir("wal");
+    let wal_dir = temp_dir("serving-diff-wal");
     let config = MonitorConfig {
         durability: DurabilityConfig {
             wal_dir: Some(wal_dir.clone()),
@@ -211,7 +158,7 @@ fn recovered_service_initial_view_matches_mutex() {
     let (service, report) = MonitorService::recover(&config, network).expect("recovery succeeds");
     assert!(report.replayed_entries > 0);
     let handle = service.handle();
-    assert_paths_agree(&handle);
+    assert_paths_agree(&handle, &config, &sim);
     drop(service);
     let _ = std::fs::remove_dir_all(&wal_dir);
 }

@@ -16,23 +16,13 @@ use cps_monitor::{
     ReadView,
 };
 use cps_sim::{Scale, SimConfig, TrafficSim};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use cps_testkit::conformance::{assert_leaves_match_extraction, assert_serving_matches_offline};
+use cps_testkit::fixtures::temp_dir;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const DAYS: u32 = 3;
 const READERS: usize = 4;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cps-serving-stress-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("create test temp dir");
-    dir
-}
 
 fn total(f: &[Severity]) -> Severity {
     f.iter().fold(Severity::ZERO, |acc, &s| acc + s)
@@ -137,7 +127,7 @@ fn reader(handle: MonitorHandle, stop: Arc<AtomicBool>) -> u64 {
 /// Readers race ingest, day sealing (snapshot store on), group-commit WAL
 /// appends, and periodic checkpoints for the whole feed; every pinned
 /// snapshot must pass every invariant, and the final snapshot must agree
-/// with the mutex oracle.
+/// with the offline pipeline over the same micro-clusters.
 #[test]
 fn concurrent_readers_see_only_consistent_snapshots() {
     let sim = TrafficSim::new(SimConfig::new(Scale::Tiny, 13).with_hot_region(0.2, 0.5));
@@ -145,8 +135,8 @@ fn concurrent_readers_see_only_consistent_snapshots() {
     let mut records: Vec<_> = (0..DAYS).flat_map(|d| sim.atypical_day(d)).collect();
     records.sort_unstable_by_key(|r| (r.window, r.sensor));
 
-    let snapshot_dir = fresh_dir("store");
-    let wal_dir = fresh_dir("wal");
+    let snapshot_dir = temp_dir("serving-stress-store");
+    let wal_dir = temp_dir("serving-stress-wal");
     let config = MonitorConfig {
         shards: 3,
         spec: sim.config().spec,
@@ -161,7 +151,7 @@ fn concurrent_readers_see_only_consistent_snapshots() {
         ..MonitorConfig::default()
     };
 
-    let mut service = MonitorService::start(&config, network).expect("service starts");
+    let mut service = MonitorService::start(&config, network.clone()).expect("service starts");
     let handle = service.handle();
     let stop = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)
@@ -172,7 +162,7 @@ fn concurrent_readers_see_only_consistent_snapshots() {
         })
         .collect();
 
-    for record in records {
+    for &record in &records {
         assert!(service.ingest(record).expect("healthy ingest"));
     }
     let metrics = service.finish();
@@ -190,12 +180,8 @@ fn concurrent_readers_see_only_consistent_snapshots() {
         !view.snapshot().persisted_days.is_empty(),
         "the store must have sealed days mid-run"
     );
-    assert_eq!(view.red_regions(0, DAYS), handle.red_regions(0, DAYS));
-    assert_eq!(
-        view.query_guided(0, DAYS).expect("query"),
-        handle.query_guided(0, DAYS).expect("query")
-    );
-    assert_eq!(*view.live_macro_clusters(), handle.live_macro_clusters());
+    assert_leaves_match_extraction(&handle, &network, &config, &records, DAYS, "stress");
+    assert_serving_matches_offline(&handle, &network, &config, DAYS, "stress");
 
     let _ = std::fs::remove_dir_all(&snapshot_dir);
     let _ = std::fs::remove_dir_all(&wal_dir);

@@ -114,7 +114,7 @@ fn sharded_clusters(feed: &[AtypicalRecord], shards: usize) -> Vec<AtypicalClust
     let metrics = service.finish();
     assert_eq!(metrics.records_dropped, 0, "Block policy never drops");
     assert_eq!(metrics.records_ingested, feed.len() as u64);
-    handle.live_micro_clusters()
+    handle.read_view().live_micro_clusters()
 }
 
 proptest! {
@@ -155,5 +155,5 @@ fn fixture_exercises_cross_shard_reconciliation() {
         metrics.cross_shard_merges > 0,
         "no cross-shard merges: {metrics}"
     );
-    assert!(!handle.live_macro_clusters().is_empty());
+    assert!(!handle.read_view().live_macro_clusters().to_vec().is_empty());
 }

@@ -23,6 +23,8 @@ pub mod deadline;
 pub mod epoch;
 pub mod view;
 
+/// Query-local merge ids start here; see [`atypical::query::QUERY_ID_BASE`].
+pub use atypical::query::QUERY_ID_BASE;
 pub use cache::{CacheStats, QueryKey, QueryKind, ResultCache, Stamp};
 pub use deadline::{DegradeStats, Degraded, QueryDeadline};
 pub use epoch::SnapshotCell;
@@ -32,15 +34,6 @@ use atypical::AtypicalCluster;
 use cps_core::{RegionId, Severity};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// First merge id handed out by a query-local
-/// [`ClusterIdGen`](cps_core::ids::ClusterIdGen). Query-time integration
-/// must not consume service ids (that would make queries perturb ingest
-/// state and each other), so every guided query counts from this fixed
-/// base: far above the live generator (which starts at 1) and distinct
-/// from `cps-par`'s temporary-id base (`1 << 62`), so a query-minted id
-/// can never collide with either.
-pub const QUERY_ID_BASE: u64 = 1 << 61;
 
 /// One cached query result. The variant always matches the key's
 /// [`QueryKind`]; values are `Arc`s so a hit is a pointer clone.

@@ -13,13 +13,12 @@
 //! mutating the live state behind it.
 
 use crate::deadline::{Degraded, QueryDeadline};
-use crate::QUERY_ID_BASE;
-use atypical::integrate::{integrate_aligned, TimeAlignment};
-use atypical::significant::significance_threshold;
-use atypical::store::{ForestLevel, ForestStore};
+use atypical::query::{DaySource, Plan, Strategy, QUERY_ID_BASE};
+use atypical::redzone::RedZones;
+use atypical::store::{FilteredClusters, ForestLevel, ForestStore};
 use atypical::AtypicalCluster;
 use cps_core::ids::ClusterIdGen;
-use cps_core::{Params, RegionId, SensorId, Severity, TimeRange, WindowSpec};
+use cps_core::{Params, RegionId, Severity, TimeRange, WindowSpec};
 use cps_geo::grid::SensorPartition;
 use cps_storage::{IoSnapshot, Predicate};
 use std::collections::{BTreeMap, BTreeSet};
@@ -170,17 +169,17 @@ impl ReadView {
 
     /// Red regions over a whole-day range, with their `F` values, from the
     /// pinned per-day severity vectors (equal to
-    /// [`atypical::redzone::RedZones::compute`] on the same micro-clusters
-    /// by distributivity, Property 4).
+    /// [`RedZones::compute`] on the same micro-clusters by
+    /// distributivity, Property 4).
     pub fn red_regions(&self, first_day: u32, n_days: u32) -> Vec<(RegionId, Severity)> {
-        let range = self.ctx.spec.day_range(first_day, n_days);
-        let f = self.compose_region_f(first_day, n_days);
-        self.mark_red(&f, range)
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, red)| red)
-            .map(|(i, _)| (RegionId::new(i as u32), f[i]))
-            .collect()
+        RedZones::from_f(
+            self.compose_region_f(first_day, n_days),
+            &self.ctx.partition,
+            &self.ctx.params,
+            self.ctx.spec.day_range(first_day, n_days),
+            self.ctx.num_sensors,
+        )
+        .red_regions()
     }
 
     /// Red-zone-guided query over whole days (Algorithm 4): micro-clusters
@@ -198,7 +197,7 @@ impl ReadView {
     /// come from segment metadata, so the reported `candidate_clusters`
     /// is identical to the full-decode path.
     pub fn query_guided(&self, first_day: u32, n_days: u32) -> cps_core::Result<GuidedQuery> {
-        let (query, _omitted) = self.guided_inner(first_day, n_days, None)?;
+        let (query, _omitted) = self.guided(first_day, n_days, None)?;
         Ok(query)
     }
 
@@ -215,7 +214,7 @@ impl ReadView {
         n_days: u32,
         deadline: &QueryDeadline,
     ) -> cps_core::Result<Degraded<GuidedQuery>> {
-        let (query, days_omitted) = self.guided_inner(first_day, n_days, Some(deadline))?;
+        let (query, days_omitted) = self.guided(first_day, n_days, Some(deadline))?;
         Ok(Degraded {
             epoch: self.epoch(),
             seal_epoch: self.seal_epoch(),
@@ -242,79 +241,40 @@ impl ReadView {
         }))
     }
 
-    fn guided_inner(
+    /// [`Plan::run`] (`Gui`, whole deployment) over the pinned snapshot,
+    /// returning the sealed days a deadline made it omit.
+    fn guided(
         &self,
         first_day: u32,
         n_days: u32,
         deadline: Option<&QueryDeadline>,
     ) -> cps_core::Result<(GuidedQuery, Vec<u32>)> {
-        let spec = self.ctx.spec;
-        let params = &self.ctx.params;
-        let range = spec.day_range(first_day, n_days);
-        let threshold = significance_threshold(params, range, self.ctx.num_sensors);
-
-        let f = self.compose_region_f(first_day, n_days);
-        let red = self.mark_red(&f, range);
-        let num_red_regions = red.iter().filter(|&&r| r).count();
-
-        let partition = &self.ctx.partition;
-        let red_sensors: Vec<SensorId> = red
-            .iter()
-            .enumerate()
-            .filter(|&(_, &r)| r)
-            .flat_map(|(i, _)| {
-                partition
-                    .sensors_in(RegionId::new(i as u32))
-                    .iter()
-                    .copied()
-            })
-            .collect();
-        let pred = Predicate::all().with_sensors(red_sensors);
-
-        let mut candidate_clusters = 0usize;
-        let mut inputs: Vec<AtypicalCluster> = Vec::new();
-        let mut days_omitted: Vec<u32> = Vec::new();
-        for day in first_day..first_day.saturating_add(n_days) {
-            if let Some(micros) = self.snapshot.micros_by_day.get(&day) {
-                candidate_clusters += micros.len();
-                inputs.extend(
-                    micros
-                        .iter()
-                        .filter(|c| c.sf.keys().any(|s| red[partition.region_of(s).index()]))
-                        .cloned(),
-                );
-            } else if let Some(store) = &self.ctx.store {
-                // The deadline only gates *new* storage reads: a read
-                // already issued completes, so a query overruns its
-                // budget by at most one read.
-                if deadline.is_some_and(|d| d.expired()) {
-                    days_omitted.push(day);
-                    continue;
-                }
-                if let Some(filtered) = store.load_filtered(ForestLevel::Day, day, &pred)? {
-                    candidate_clusters += filtered.total;
-                    inputs.extend(filtered.clusters);
-                }
-            }
-        }
-        let input_clusters = inputs.len();
-
-        let alignment = TimeAlignment::TimeOfDay {
-            windows_per_day: spec.windows_per_day(),
+        let plan = Plan {
+            partition: &self.ctx.partition,
+            params: &self.ctx.params,
+            spec: self.ctx.spec,
+            first_day,
+            n_days,
+            scope: None,
+            n_sensors: self.ctx.num_sensors,
+            strategy: Strategy::Gui,
+            final_check: false,
         };
-        let mut ids = ClusterIdGen::new(QUERY_ID_BASE);
-        let (macros, _stats) = integrate_aligned(inputs, params, alignment, &mut ids);
-        Ok((
-            GuidedQuery {
-                range,
-                macros,
-                threshold,
-                num_red_regions,
-                candidate_clusters,
-                input_clusters,
-            },
-            days_omitted,
-        ))
+        let mut days = PinnedDays {
+            view: self,
+            deadline,
+            days_omitted: Vec::new(),
+        };
+        let result = plan.run(&mut days, &mut ClusterIdGen::new(QUERY_ID_BASE))?;
+        let query = GuidedQuery {
+            range: result.range,
+            macros: result.macros,
+            threshold: result.threshold,
+            num_red_regions: result.num_red_regions.unwrap_or_default(),
+            candidate_clusters: result.candidate_clusters,
+            input_clusters: result.input_clusters,
+        };
+        Ok((query, days.days_omitted))
     }
 
     /// The significant clusters of a whole-day range (Definition 5), via
@@ -358,18 +318,41 @@ impl ReadView {
         }
         f
     }
+}
 
-    /// Applies the per-region significance-density test of
-    /// [`atypical::redzone::RedZones::compute`] to composed `F` values.
-    fn mark_red(&self, f: &[Severity], range: TimeRange) -> Vec<bool> {
-        let partition = &self.ctx.partition;
-        let params = &self.ctx.params;
-        f.iter()
-            .enumerate()
-            .map(|(i, &fv)| {
-                let n_i = partition.sensors_in(RegionId::new(i as u32)).len() as u32;
-                n_i > 0 && fv >= significance_threshold(params, range, n_i)
-            })
-            .collect()
+/// A pinned [`ReadView`] as Algorithm 4's day source: live days from the
+/// snapshot, sealed days from the store (with the plan's predicate pushed
+/// down), and `F` composed from the pinned per-day vectors. Once the
+/// deadline expires, sealed days are omitted instead of read.
+struct PinnedDays<'a> {
+    view: &'a ReadView,
+    deadline: Option<&'a QueryDeadline>,
+    days_omitted: Vec<u32>,
+}
+
+impl DaySource for PinnedDays<'_> {
+    fn load_day(
+        &mut self,
+        day: u32,
+        pred: &Predicate,
+    ) -> cps_core::Result<Option<FilteredClusters>> {
+        if let Some(micros) = self.view.snapshot.micros_by_day.get(&day) {
+            return Ok(Some(FilteredClusters::from_slice(micros, pred)));
+        }
+        let Some(store) = &self.view.ctx.store else {
+            return Ok(None);
+        };
+        // The deadline only gates *new* storage reads: a read already
+        // issued completes, so a query overruns its budget by at most one
+        // read.
+        if self.deadline.is_some_and(QueryDeadline::expired) {
+            self.days_omitted.push(day);
+            return Ok(None);
+        }
+        store.load_filtered(ForestLevel::Day, day, pred)
+    }
+
+    fn region_f(&self, first_day: u32, n_days: u32) -> Option<Vec<Severity>> {
+        Some(self.view.compose_region_f(first_day, n_days))
     }
 }

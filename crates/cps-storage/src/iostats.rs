@@ -15,8 +15,6 @@ pub struct IoStats {
     records_read: AtomicU64,
     blocks_read: AtomicU64,
     files_opened: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     bytes_decoded: AtomicU64,
     segments_skipped: AtomicU64,
     chunks_skipped: AtomicU64,
@@ -52,18 +50,6 @@ impl IoStats {
         self.files_opened.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a block-cache hit.
-    #[inline]
-    pub fn add_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a block-cache miss.
-    #[inline]
-    pub fn add_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records `n` payload bytes actually *decoded* (CRC-checked and
     /// decompressed into records). Bytes of zone-map-skipped chunks are
     /// read past but never decoded, so `bytes_decoded <= bytes_read` on
@@ -94,8 +80,6 @@ impl IoStats {
             records_read: self.records_read.load(Ordering::Relaxed),
             blocks_read: self.blocks_read.load(Ordering::Relaxed),
             files_opened: self.files_opened.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
             bytes_decoded: self.bytes_decoded.load(Ordering::Relaxed),
             segments_skipped: self.segments_skipped.load(Ordering::Relaxed),
             chunks_skipped: self.chunks_skipped.load(Ordering::Relaxed),
@@ -108,8 +92,6 @@ impl IoStats {
         self.records_read.store(0, Ordering::Relaxed);
         self.blocks_read.store(0, Ordering::Relaxed);
         self.files_opened.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
         self.bytes_decoded.store(0, Ordering::Relaxed);
         self.segments_skipped.store(0, Ordering::Relaxed);
         self.chunks_skipped.store(0, Ordering::Relaxed);
@@ -127,10 +109,6 @@ pub struct IoSnapshot {
     pub blocks_read: u64,
     /// Files opened.
     pub files_opened: u64,
-    /// Block-cache hits.
-    pub cache_hits: u64,
-    /// Block-cache misses.
-    pub cache_misses: u64,
     /// Payload bytes decoded (always `<= bytes_read`; the gap is chunk
     /// bytes skipped past by predicate pushdown).
     pub bytes_decoded: u64,
@@ -148,8 +126,6 @@ impl IoSnapshot {
             records_read: self.records_read - earlier.records_read,
             blocks_read: self.blocks_read - earlier.blocks_read,
             files_opened: self.files_opened - earlier.files_opened,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
             bytes_decoded: self.bytes_decoded - earlier.bytes_decoded,
             segments_skipped: self.segments_skipped - earlier.segments_skipped,
             chunks_skipped: self.chunks_skipped - earlier.chunks_skipped,
@@ -187,7 +163,6 @@ mod tests {
     fn reset_zeroes_everything() {
         let s = IoStats::shared();
         s.add_bytes(10);
-        s.add_cache_hit();
         s.add_bytes_decoded(4);
         s.add_segment_skipped();
         s.add_chunks_skipped(2);

@@ -450,9 +450,10 @@ impl SegmentWriter {
         self.n_records
     }
 
-    /// Commits the segment to `path` via write-temp + fsync + rename.
-    /// `kind` tags the record schema (validated on read).
-    pub fn commit(self, io: &Io, path: &Path, kind: u8) -> Result<()> {
+    /// Commits the segment to `path` via write-temp + fsync + rename and
+    /// returns the bytes written. `kind` tags the record schema
+    /// (validated on read).
+    pub fn commit(self, io: &Io, path: &Path, kind: u8) -> Result<u64> {
         let mut meta =
             Vec::with_capacity(META_FIXED_SIZE + self.chunks.len() * (CHUNK_DIR_ENTRY_SIZE + 1));
         meta.put_u64_le(self.n_records);
@@ -503,7 +504,8 @@ impl SegmentWriter {
             f.sync()?;
         }
         io.rename(&tmp, path)?;
-        Ok(())
+        let payload_bytes: usize = self.chunks.iter().map(|(_, p)| p.len()).sum();
+        Ok((header.len() + meta.len() + payload_bytes) as u64)
     }
 }
 

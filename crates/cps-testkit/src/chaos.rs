@@ -497,10 +497,11 @@ pub fn run_chaos(scenario: &ChaosScenario, case: &ConformanceCase, dir: &Path) -
     }
     let final_epoch = handle.serve().epoch();
 
+    let view = handle.read_view();
     let mut service_micros = Vec::new();
     for day in 0..scenario.days {
-        service_micros.extend(
-            handle
+        service_micros.extend_from_slice(
+            &view
                 .micro_clusters_for_day(day)
                 .unwrap_or_else(|e| panic!("{}: day {day} query failed: {e}", scenario.label)),
         );

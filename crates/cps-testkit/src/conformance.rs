@@ -28,8 +28,8 @@
 //! * [`check_batched_ingest`] — `ingest_batch` is bit-identical to the
 //!   record-at-a-time oracle on one shard and canonically equal on four;
 //! * [`check_serve_paths`] — at quiescence the pinned read view and the
-//!   cached serve handle answer every whole-day query exactly like the
-//!   mutex-path oracle;
+//!   cached serve handle answer every whole-day query like the paper's
+//!   offline pipeline over the same micro-clusters;
 //! * [`check_storage_backend_equivalence`] — the storage-backend axis:
 //!   persisting the domain's forest through the row and the columnar
 //!   [`ForestStore`](atypical::store::ForestStore) backends yields
@@ -46,13 +46,14 @@ use crate::fixtures::{cluster_from_records, temp_dir};
 use atypical::eval::evaluate;
 use atypical::integrate::{integrate_aligned, TimeAlignment};
 use atypical::pipeline::build_forest_from_records;
+use atypical::redzone::RedZones;
 use atypical::{AtypicalCluster, Query, QueryEngine, Strategy};
 use cps_core::ids::ClusterIdGen;
 use cps_core::measure::CountAndTotal;
 use cps_core::{AtypicalRecord, ClusterId, Params, RecordBatch, Severity};
 use cps_cube::{CellKey, SpatioTemporalCube, TemporalLevel};
 use cps_geo::grid::RegionHierarchy;
-use cps_geo::UniformGrid;
+use cps_geo::{RoadNetwork, UniformGrid};
 use cps_monitor::{MonitorConfig, MonitorHandle, MonitorService, OverflowPolicy};
 use cps_sim::{build_source, Domain, Scale, SimConfig, Source};
 use rand::rngs::StdRng;
@@ -418,9 +419,10 @@ fn fingerprint(service: MonitorService, days: u32) -> Fingerprint {
     service.finish();
     let forest = handle.forest_snapshot(0, days).expect("forest snapshot");
     let day_leaves = (0..days).map(|d| forest.day(d).to_vec()).collect();
+    let view = handle.read_view();
     (
-        handle.live_micro_clusters(),
-        handle.live_macro_clusters(),
+        view.live_micro_clusters(),
+        view.live_macro_clusters().to_vec(),
         day_leaves,
     )
 }
@@ -470,14 +472,14 @@ pub fn check_batched_ingest(case: &ConformanceCase) {
     );
 }
 
-/// Quiescent serve-path differential: after `finish`, every whole-day
-/// query through the pinned read view and the cached serve handle (two
-/// rounds, so the second answer is cache-served) matches the mutex-path
-/// oracle bit for bit.
+/// Quiescent serve-path check: after `finish`, the read view and the
+/// cached serve handle answer every whole-day query like the paper's
+/// offline pipeline (see [`assert_serving_matches_offline`]), over day
+/// leaves equal to an offline extraction of the feed.
 pub fn check_serve_paths(case: &ConformanceCase) {
     let network = case.network_arc();
     let config = case.monitor_config(3, 0);
-    let mut service = MonitorService::start(&config, network).expect("service starts");
+    let mut service = MonitorService::start(&config, network.clone()).expect("service starts");
     let handle: MonitorHandle = service.handle();
     for record in case.feed() {
         assert!(service.ingest(record).expect("window-monotone feed"));
@@ -488,72 +490,143 @@ pub fn check_serve_paths(case: &ConformanceCase) {
         "{}: the merger must publish",
         case.domain
     );
+    let label = case.domain.name();
+    assert_leaves_match_extraction(&handle, &network, &config, &case.feed(), case.days, label);
+    assert_serving_matches_offline(&handle, &network, &config, case.days, label);
+}
 
+/// The serving layer's oracle: for every whole-day range of
+/// `[0, days)`, the pinned [`ReadView`](cps_monitor::ReadView) must
+/// equal the paper's offline pipeline on the same micro-clusters:
+/// [`QueryEngine::execute`] with [`Strategy::Gui`] over
+/// [`MonitorHandle::forest_snapshot`], and red regions from
+/// [`RedZones::compute`]. Red regions, counts and the threshold compare
+/// exactly; macro-clusters as canonical multisets, since the two paths
+/// mint different merge ids. This checks the incrementally maintained
+/// per-day `F` vectors and the sealed-day predicate pushdown against
+/// recomputation from the clusters themselves.
+///
+/// The cached [`ServeHandle`](cps_monitor::ServeHandle) (asked twice, so
+/// the second answer is cache-served) must equal the view bit for bit,
+/// macro ids and order included. The day leaves the oracle starts from
+/// are checked separately, by [`assert_leaves_match_extraction`]. Call it
+/// at quiescence (after `finish`, or on a freshly recovered service).
+pub fn assert_serving_matches_offline(
+    handle: &MonitorHandle,
+    network: &RoadNetwork,
+    config: &MonitorConfig,
+    days: u32,
+    label: &str,
+) {
+    let params = config.params;
+    let partition = UniformGrid::over(network, config.red_cell_miles).partition(network);
+    let engine = QueryEngine::new(network, &partition, params);
+    let mut forest = handle.forest_snapshot(0, days).expect("forest snapshot");
     let serve = handle.serve();
     let view = handle.read_view();
-    for first in 0..case.days {
-        for n in 1..=(case.days - first) {
-            let red = handle.red_regions(first, n);
-            let guided = handle.query_guided(first, n).expect("mutex query");
-            let significant = handle.significant_clusters(first, n).expect("mutex query");
+
+    for day in 0..days {
+        let micros = view.micro_clusters_for_day(day).expect("view query");
+        assert_eq!(
+            serve.micro_clusters_for_day(day).expect("cached query"),
+            micros,
+            "{label}: cached micro_clusters_for_day({day})"
+        );
+    }
+
+    for first in 0..days {
+        for n in 1..=(days - first) {
+            let offline = engine.execute(&mut forest, &Query::days(first, n), Strategy::Gui);
+            let red = RedZones::compute(
+                &forest.micros_in_days(first, n),
+                &partition,
+                &params,
+                offline.range,
+                offline.n_sensors,
+            )
+            .red_regions();
+            let significant: Vec<AtypicalCluster> =
+                offline.significant().into_iter().cloned().collect();
+
+            let tag = format!("{label}: ({first},{n})");
+            assert_eq!(view.red_regions(first, n), red, "{tag} red_regions");
+            let guided = view.query_guided(first, n).expect("view query");
+            assert_eq!(guided.range, offline.range, "{tag} range");
+            assert_eq!(guided.threshold, offline.threshold, "{tag} threshold");
             assert_eq!(
-                view.red_regions(first, n),
-                red,
-                "{}: red_regions({first},{n})",
-                case.domain
+                Some(guided.num_red_regions),
+                offline.num_red_regions,
+                "{tag} num_red_regions"
             );
             assert_eq!(
-                view.query_guided(first, n).expect("view query"),
-                guided,
-                "{}: query_guided({first},{n})",
-                case.domain
+                guided.candidate_clusters, offline.candidate_clusters,
+                "{tag} candidate_clusters"
             );
             assert_eq!(
-                view.significant_clusters(first, n).expect("view query"),
-                significant,
-                "{}: significant_clusters({first},{n})",
-                case.domain
+                guided.input_clusters, offline.input_clusters,
+                "{tag} input_clusters"
+            );
+            assert_eq!(
+                canonicalize(&guided.macros),
+                canonicalize(&offline.macros),
+                "{tag} macros"
+            );
+            let view_significant = view.significant_clusters(first, n).expect("view query");
+            assert_eq!(
+                canonicalize(&view_significant),
+                canonicalize(&significant),
+                "{tag} significant_clusters"
             );
             for round in 0..2 {
                 assert_eq!(
                     *serve.red_regions(first, n),
                     red,
-                    "{}: cached red_regions({first},{n}) round {round}",
-                    case.domain
+                    "{tag} cached red_regions {round}"
                 );
                 assert_eq!(
                     *serve.query_guided(first, n).expect("cached query"),
                     guided,
-                    "{}: cached query_guided({first},{n}) round {round}",
-                    case.domain
+                    "{tag} cached query_guided {round}"
                 );
                 assert_eq!(
                     *serve.significant_clusters(first, n).expect("cached query"),
-                    significant,
-                    "{}: cached significant_clusters({first},{n}) round {round}",
-                    case.domain
+                    view_significant,
+                    "{tag} cached significant_clusters {round}"
                 );
             }
         }
     }
-    for day in 0..case.days {
-        let micros = handle.micro_clusters_for_day(day).expect("mutex query");
-        assert_eq!(
-            *view.micro_clusters_for_day(day).expect("view query"),
-            micros,
-            "{}: micro_clusters_for_day({day})",
-            case.domain
-        );
-        assert_eq!(
-            *serve.micro_clusters_for_day(day).expect("cached query"),
-            micros,
-            "{}: cached micro_clusters_for_day({day})",
-            case.domain
-        );
-    }
-    let macros = handle.live_macro_clusters();
-    assert_eq!(*view.live_macro_clusters(), macros, "{}", case.domain);
-    assert_eq!(*serve.live_macro_clusters(), macros, "{}", case.domain);
+    assert_eq!(
+        serve.live_macro_clusters(),
+        view.live_macro_clusters(),
+        "{label}: live_macro_clusters"
+    );
+}
+
+/// The day leaves of a finished service equal an independent
+/// extraction: Algorithm 1 run offline ([`build_forest_from_records`])
+/// over `feed`, the complete record stream the service ingested,
+/// compared as one canonical multiset. Online events may run past
+/// midnight into the next day's windows (the monitor files each under
+/// one day), so the feed is extracted as one unit. Call it after
+/// `finish`: until then the monitor's open events are not leaves yet.
+pub fn assert_leaves_match_extraction(
+    handle: &MonitorHandle,
+    network: &RoadNetwork,
+    config: &MonitorConfig,
+    feed: &[AtypicalRecord],
+    days: u32,
+    label: &str,
+) {
+    let forest = handle.forest_snapshot(0, days).expect("forest snapshot");
+    let leaves: Vec<AtypicalCluster> = (0..days).flat_map(|d| forest.day(d).to_vec()).collect();
+    let extracted =
+        build_forest_from_records([(0, feed.to_vec())], network, &config.params, config.spec);
+    assert_eq!(
+        canonicalize(&leaves),
+        canonicalize(extracted.forest.day(0)),
+        "{label}: day leaves diverged from offline extraction of the feed"
+    );
 }
 
 /// Storage-backend axis: the domain's forest, persisted through the row

@@ -7,6 +7,7 @@ use cps_sim::{Scale, SimConfig, TrafficSim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One simulated Tiny-scale day: the deployment plus its atypical
 /// records sorted by `(window, sensor)` — the feed order every online
@@ -19,10 +20,14 @@ pub fn tiny_day(seed: u64) -> (TrafficSim, Vec<AtypicalRecord>) {
     (sim, records)
 }
 
-/// A fresh (removed-then-created) temp directory unique to this process
-/// and `tag`.
+/// A fresh, empty temp directory unique to this call: the path carries
+/// the process id, `tag`, and a process-wide counter, so tests running
+/// in parallel threads of one binary never share a directory (even with
+/// equal tags). Removing it afterwards is the caller's business.
 pub fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("cps-testkit-{}-{tag}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!("cps-testkit-{}-{tag}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).expect("create temp dir");
     d

@@ -9,8 +9,9 @@ use cps_geo::RoadNetwork;
 use cps_monitor::{
     DropBurst, FaultConfig, MonitorConfig, MonitorError, MonitorService, OverflowPolicy, WorkerKill,
 };
-use cps_testkit::fixtures::tiny_day;
-use cps_testkit::{canonicalize, run_seeded};
+use cps_sim::Domain;
+use cps_testkit::fixtures::{temp_dir, tiny_day};
+use cps_testkit::{canonicalize, run_seeded, ConformanceCase, FaultIo, FaultKind, FaultPlan};
 use std::sync::Arc;
 
 struct Fixture {
@@ -84,8 +85,9 @@ fn worker_death_degrades_instead_of_aborting() {
     assert_eq!(metrics.records_ingested, accepted);
     assert_eq!(metrics.records_dropped, 0);
     // The handle outlives the degraded service and still answers queries.
-    let _ = handle.live_micro_clusters();
-    let _ = handle.red_regions(0, 1);
+    let view = handle.read_view();
+    let _ = view.live_micro_clusters();
+    let _ = view.red_regions(0, 1);
 }
 
 /// A drop burst is exactly accounted: the drop counter equals the burst
@@ -141,7 +143,7 @@ fn drop_burst_is_exactly_accounted_and_equivalent() {
         }
     }
     assert_eq!(
-        canonicalize(&handle.live_micro_clusters()),
+        canonicalize(&handle.read_view().live_micro_clusters()),
         canonicalize(&extractor.finish()),
         "drop burst must account for exactly the dropped records"
     );
@@ -176,7 +178,7 @@ fn jittered_schedule_is_equivalent_to_single_extractor() {
                 extractor.push(record).expect("feed is window-monotone");
             }
             assert_eq!(
-                canonicalize(&handle.live_micro_clusters()),
+                canonicalize(&handle.read_view().live_micro_clusters()),
                 canonicalize(&extractor.finish()),
                 "jitter changed the reconciled micro-clusters"
             );
@@ -236,4 +238,82 @@ fn death_on_one_shard_does_not_poison_the_others() {
     let metrics = service.finish();
     assert_eq!(metrics.workers_dead, 1);
     assert_eq!(metrics.dead_shards, vec![victim]);
+}
+
+/// A failed day persist is counted, never only reported on stderr: while
+/// every store operation fails with EIO the sealed day stays live and is
+/// served from memory, and once the store heals a later seal persists it.
+/// `snapshot_bytes` counts what the store wrote through the `Io` seam.
+#[test]
+fn failed_day_persist_is_counted_and_retried() {
+    let case = ConformanceCase::new(Domain::Traffic, 11, 3);
+    let dir = temp_dir("persist-eio");
+    let config = MonitorConfig {
+        shards: 1,
+        overflow: OverflowPolicy::Block,
+        spec: case.source().config().spec,
+        snapshot_dir: Some(dir.clone()),
+        ..MonitorConfig::default()
+    };
+    let fault = FaultIo::new();
+    let network = Arc::new(case.source().network().clone());
+    let mut service =
+        MonitorService::start_with(&config, network, fault.io()).expect("service starts");
+    let handle = service.handle();
+
+    // From here on every store operation fails, until the plans are
+    // cleared (each plan fires once, at its own op index).
+    let first = fault.op_count();
+    fault.set_plans(
+        (first..first + 50_000)
+            .map(|at_op| FaultPlan {
+                at_op,
+                kind: FaultKind::Error,
+            })
+            .collect(),
+    );
+    for day in 0..2 {
+        for &record in case.day(day) {
+            assert!(service.ingest(record).expect("healthy ingest"));
+        }
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while handle.metrics().persist_failures == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "day 0 was never sealed"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let view = handle.read_view();
+    assert!(!view.snapshot().persisted_days.contains(&0));
+    assert!(view.snapshot().micros_by_day.contains_key(&0));
+    assert!(!view
+        .micro_clusters_for_day(0)
+        .expect("live read")
+        .is_empty());
+    assert_eq!(handle.metrics().days_persisted, 0);
+
+    fault.set_plan(None);
+    for &record in case.day(2) {
+        assert!(service.ingest(record).expect("healthy ingest"));
+    }
+    let metrics = service.finish();
+    assert!(metrics.persist_failures > 0, "{metrics}");
+    assert_eq!(metrics.days_persisted, 3, "{metrics}");
+    let view = handle.read_view();
+    assert_eq!(
+        view.snapshot()
+            .persisted_days
+            .iter()
+            .copied()
+            .collect::<Vec<_>>(),
+        vec![0, 1, 2]
+    );
+    let on_disk: u64 = std::fs::read_dir(dir.join("clusters"))
+        .expect("store directory")
+        .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
+        .sum();
+    assert_eq!(metrics.snapshot_bytes, on_disk);
+    let _ = std::fs::remove_dir_all(&dir);
 }

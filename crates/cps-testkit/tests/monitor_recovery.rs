@@ -110,7 +110,10 @@ fn try_run_service(
     let handle = service.handle();
     let stopped = feed(&mut service, &fx.records);
     service.finish();
-    let fp = (handle.live_micro_clusters(), handle.live_macro_clusters());
+    let fp = (
+        handle.read_view().live_micro_clusters(),
+        handle.read_view().live_macro_clusters().to_vec(),
+    );
     Some((stopped, fp))
 }
 
@@ -136,7 +139,10 @@ fn recover_and_resume(fx: &Fixture, config: &MonitorConfig) -> Fingerprint {
     );
     let metrics = service.finish();
     assert_eq!(metrics.recoveries, 1);
-    (handle.live_micro_clusters(), handle.live_macro_clusters())
+    (
+        handle.read_view().live_micro_clusters(),
+        handle.read_view().live_macro_clusters().to_vec(),
+    )
 }
 
 fn canonical(fp: &Fingerprint) -> Vec<Canonical> {
@@ -359,7 +365,7 @@ fn killed_workers_respawn_with_zero_record_loss() {
         extractor.push(record).expect("feed is window-monotone");
     }
     assert_eq!(
-        canonicalize(&handle.live_micro_clusters()),
+        canonicalize(&handle.read_view().live_micro_clusters()),
         canonicalize(&extractor.finish()),
         "respawned shards lost or duplicated records"
     );
@@ -472,7 +478,10 @@ fn clean_shutdown_restart_resumes_bit_identically() {
     let handle = second.handle();
     assert!(feed(&mut second, &fx.records[half..]).is_none());
     second.finish();
-    let resumed = (handle.live_micro_clusters(), handle.live_macro_clusters());
+    let resumed = (
+        handle.read_view().live_micro_clusters(),
+        handle.read_view().live_macro_clusters().to_vec(),
+    );
 
     let uninterrupted_dir = temp_dir("restart-ref");
     let ref_cfg = config(&fx, 1, &uninterrupted_dir, 30);
@@ -519,7 +528,10 @@ fn try_run_service_batched(
     let handle = service.handle();
     let stopped = feed_batched(&mut service, &fx.records, batch_size);
     service.finish();
-    let fp = (handle.live_micro_clusters(), handle.live_macro_clusters());
+    let fp = (
+        handle.read_view().live_micro_clusters(),
+        handle.read_view().live_macro_clusters().to_vec(),
+    );
     Some((stopped, fp))
 }
 
@@ -546,7 +558,10 @@ fn recover_and_resume_batched(
     );
     let metrics = service.finish();
     assert_eq!(metrics.recoveries, 1);
-    (handle.live_micro_clusters(), handle.live_macro_clusters())
+    (
+        handle.read_view().live_micro_clusters(),
+        handle.read_view().live_macro_clusters().to_vec(),
+    )
 }
 
 /// The batched crash sweep: record the clean batched run's op log (with

@@ -92,7 +92,7 @@ fn run(cfg: &MonitorConfig, fx: &Fixture) -> (Vec<Canonical>, u64) {
     assert_eq!(metrics.records_ingested, fx.records.len() as u64);
     assert_eq!(metrics.records_dropped, 0);
     (
-        canonicalize(&handle.live_micro_clusters()),
+        canonicalize(&handle.read_view().live_micro_clusters()),
         metrics.rebalances,
     )
 }
@@ -186,7 +186,7 @@ fn worker_kill_during_rebalance_epochs_loses_nothing() {
             extractor.push(record).expect("feed is window-monotone");
         }
         assert_eq!(
-            canonicalize(&handle.live_micro_clusters()),
+            canonicalize(&handle.read_view().live_micro_clusters()),
             canonicalize(&extractor.finish()),
             "kill + respawn across rebalance epochs lost or duplicated records"
         );
@@ -243,7 +243,7 @@ fn restart_restores_rebalanced_map_from_checkpoint() {
 
         let (static_out, _) = run(&base_config(&fx), &fx);
         assert_eq!(
-            canonicalize(&handle.live_micro_clusters()),
+            canonicalize(&handle.read_view().live_micro_clusters()),
             static_out,
             "restart across rebalance epochs diverged from the static-map run"
         );

@@ -65,7 +65,7 @@ fn main() {
     let metrics = service.finish();
     println!("\n{metrics}\n");
 
-    let result = handle.query_guided(0, 1).expect("guided query");
+    let result = handle.read_view().query_guided(0, 1).expect("guided query");
     println!(
         "guided day query: {} of {} micro-clusters survived {} red regions",
         result.input_clusters, result.candidate_clusters, result.num_red_regions

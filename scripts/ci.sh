@@ -26,8 +26,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Twice: under the default parallel scheduler and single-threaded, so a
+# test that depends on the schedule (two tests sharing one fixture
+# directory, say) fails loudly on any host, whatever its CPU count.
 echo "==> cargo test -q"
 cargo test --workspace -q
+echo "==> cargo test -q -- --test-threads=1"
+cargo test --workspace -q -- --test-threads=1
 
 # The fault-injection and crash-recovery suite once more under a fixed
 # seed, so the exact sweep CI certifies is reproducible on any machine
@@ -127,9 +132,10 @@ test -s results/BENCH_forest_smoke.json
 # Serving-layer concurrency gate: the seeded stress suite (readers racing
 # ingest, day seals, and checkpoints — every pinned snapshot checked for
 # torn-publication invariants) plus the quiescent differential suite
-# (mutex == ReadView == cached == cache-off, including the recovered-
-# service initial view), a few times so the scheduler gets chances to
-# interleave differently on small hosts.
+# (ReadView == cached == cache-off == the offline guided pipeline over the
+# same micro-clusters, including the recovered-service initial view), a
+# few times so the scheduler gets chances to interleave differently on
+# small hosts.
 echo "==> serving-layer stress + differential suites"
 for _ in 1 2 3; do
   cargo test -q -p cps-monitor --test serving_stress
@@ -137,8 +143,8 @@ done
 cargo test -q -p cps-monitor --test serving_differential
 
 # Query-serving bench smoke: tiny feed, one iteration, one reader per
-# path. The run itself cross-checks cached == uncached == mutex answers
-# at quiescence (it panics on any divergence before writing the
+# path. The run itself cross-checks cached == uncached answers at
+# quiescence (it panics on any divergence before writing the
 # artifact), so this gates the snapshot publication + cache path end to
 # end. The committed repo-root BENCH_query_serving.json is the
 # full-scale release artifact from `repro query-serving --scale small

@@ -12,10 +12,11 @@ use cps_cube::TemporalLevel;
 use cps_geo::grid::RegionHierarchy;
 use cps_sim::{Scale, SimConfig, TrafficSim};
 use cps_storage::IoStats;
+use cps_testkit::fixtures::temp_dir;
 
 fn setup() -> (TrafficSim, cps_storage::DatasetStore, std::path::PathBuf) {
-    let root = std::env::temp_dir().join(format!("atypical-xmodel-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    // One directory per call: the tests of this binary run in parallel.
+    let root = temp_dir("atypical-xmodel");
     let sim = TrafficSim::new(
         SimConfig::new(Scale::Tiny, 31)
             .with_datasets(1)
