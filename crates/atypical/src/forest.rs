@@ -490,10 +490,17 @@ mod tests {
         let stats = f.integration_stats();
         assert!(stats.merges > 0, "recurring micros integrate");
         // Roaming micros share folded windows but no sensors with the
-        // recurring ones: the one-sided bound caps those pairs at exactly
-        // ½·(0 + 1) = 0.5 = δsim, so the indexed path skips them without
-        // an exact evaluation.
-        assert!(stats.bound_skips > 0, "disjoint-sensor pairs bound-skipped");
+        // recurring ones: those pairs score at most ½·(1 + 0) = 0.5 = δsim,
+        // so the indexed path prunes them without an exact evaluation. The
+        // recurring micros are identical when folded, so every pair that is
+        // evaluated merges: one more evaluation would show as a comparison
+        // without a merge.
+        assert!(stats.candidates_pruned > 0, "disjoint-sensor pairs pruned");
+        assert_eq!(stats.bound_skips, 0);
+        assert_eq!(
+            stats.comparisons, stats.merges,
+            "no disjoint-sensor pair is evaluated exactly"
+        );
         let after_first = stats;
         let _ = f.week(0); // memoized — no further integration work
         assert_eq!(f.integration_stats(), after_first);

@@ -10,7 +10,7 @@
 //! the test-suite quantifies the order effect explicitly.
 
 use crate::cluster::AtypicalCluster;
-use crate::feature::TemporalFeature;
+use crate::feature::{SpatialFeature, TemporalFeature};
 use crate::integrate_index::integrate_aligned_indexed;
 use crate::similarity::{fold_tf, similarity, similarity_folded, similarity_parts};
 use cps_core::ids::ClusterIdGen;
@@ -51,9 +51,10 @@ pub struct IntegrationStats {
     /// Merge operations performed.
     pub merges: u64,
     /// Result-set members never evaluated against an incoming cluster
-    /// because they share no sensor and no (aligned) window with it — the
-    /// inverted index proves their similarity is exactly zero. Always zero
-    /// on the naive path.
+    /// because the inverted index proves they cannot exceed `δsim`: they
+    /// share no sensor and no (aligned) window with it (similarity exactly
+    /// zero), or, when `δsim ≥ ½`, keys in one dimension only (similarity
+    /// at most ½). Always zero on the naive path.
     pub candidates_pruned: u64,
     /// Candidates skipped because an admissible upper bound on their
     /// similarity was already ≤ `δsim`, without computing the exact value.
@@ -83,11 +84,22 @@ impl IntegrationStats {
 /// both integration strategies operate on. Folding is done once per input
 /// and maintained incrementally through merges (folded features are
 /// algebraic too).
+///
+/// Under [`TimeAlignment::TimeOfDay`] similarity and the candidate index
+/// read only the folded TF, so merges defer the raw TF: the merged entry
+/// keeps its constituents' raw TFs as parts and [`Self::into_cluster`] /
+/// [`Self::to_cluster`] merge them once, at output. Severities are integer
+/// sums, so merging is exactly commutative and associative (Property 3) and
+/// the materialised TF equals the eager `AtypicalCluster::merge` chain's.
 pub(crate) struct Aligned {
-    pub(crate) cluster: AtypicalCluster,
+    /// The cluster; under deferral its `tf` holds only the first raw part.
+    cluster: AtypicalCluster,
     /// `Some(folded TF)` under [`TimeAlignment::TimeOfDay`], `None` under
     /// [`TimeAlignment::Absolute`].
-    pub(crate) folded: Option<TemporalFeature>,
+    folded: Option<TemporalFeature>,
+    /// Raw TF parts merged in but not yet merged into `cluster.tf`; always
+    /// empty under [`TimeAlignment::Absolute`].
+    deferred_tf: Vec<TemporalFeature>,
 }
 
 impl Aligned {
@@ -99,7 +111,16 @@ impl Aligned {
                 Some(fold_tf(&cluster.tf, windows_per_day))
             }
         };
-        Self { cluster, folded }
+        Self {
+            cluster,
+            folded,
+            deferred_tf: Vec::new(),
+        }
+    }
+
+    /// The spatial feature.
+    pub(crate) fn sf(&self) -> &SpatialFeature {
+        &self.cluster.sf
     }
 
     /// The temporal feature similarity is computed on: the folded one when
@@ -110,27 +131,67 @@ impl Aligned {
 
     /// Equation 2 against another aligned cluster.
     pub(crate) fn similarity_to(&self, other: &Aligned, g: cps_core::BalanceFunction) -> f64 {
-        similarity_parts(
-            &self.cluster.sf,
-            self.tf(),
-            &other.cluster.sf,
-            other.tf(),
-            g,
-        )
+        similarity_parts(self.sf(), self.tf(), other.sf(), other.tf(), g)
     }
 
     /// Merges two aligned clusters (Algorithm 2 plus incremental fold
-    /// maintenance).
+    /// maintenance; the raw TF merge is deferred when folded).
     pub(crate) fn merge(self, other: Aligned, id: ClusterId) -> Aligned {
-        let folded = match (self.folded, other.folded) {
-            (Some(a), Some(b)) => Some(a.merge(&b)),
-            _ => None,
-        };
-        Aligned {
-            cluster: self.cluster.merge(&other.cluster, id),
-            folded,
+        match (self.folded, other.folded) {
+            (Some(a), Some(b)) => {
+                let mut deferred_tf = self.deferred_tf;
+                deferred_tf.push(other.cluster.tf);
+                deferred_tf.extend(other.deferred_tf);
+                Aligned {
+                    cluster: AtypicalCluster {
+                        id,
+                        sf: self.cluster.sf.merge(&other.cluster.sf),
+                        tf: self.cluster.tf,
+                        merged_count: self.cluster.merged_count + other.cluster.merged_count,
+                    },
+                    folded: Some(a.merge(&b)),
+                    deferred_tf,
+                }
+            }
+            _ => Aligned {
+                cluster: self.cluster.merge(&other.cluster, id),
+                folded: None,
+                deferred_tf: Vec::new(),
+            },
         }
     }
+
+    /// The cluster with its raw TF materialised.
+    pub(crate) fn into_cluster(self) -> AtypicalCluster {
+        let mut cluster = self.cluster;
+        if !self.deferred_tf.is_empty() {
+            cluster.tf = merge_parts(&cluster.tf, &self.deferred_tf);
+        }
+        cluster
+    }
+
+    /// [`Self::into_cluster`] without consuming the entry.
+    pub(crate) fn to_cluster(&self) -> AtypicalCluster {
+        if self.deferred_tf.is_empty() {
+            return self.cluster.clone();
+        }
+        AtypicalCluster {
+            id: self.cluster.id,
+            sf: self.cluster.sf.clone(),
+            tf: merge_parts(&self.cluster.tf, &self.deferred_tf),
+            merged_count: self.cluster.merged_count,
+        }
+    }
+}
+
+/// The merge of `first` and every part of `rest`, in one sort-and-combine
+/// pass instead of a chain of pairwise merges.
+fn merge_parts(first: &TemporalFeature, rest: &[TemporalFeature]) -> TemporalFeature {
+    TemporalFeature::from_pairs(
+        std::iter::once(first)
+            .chain(rest)
+            .flat_map(|part| part.iter()),
+    )
 }
 
 /// Integrates clusters into macro-clusters (Algorithm 3) with absolute time
@@ -218,7 +279,7 @@ pub fn integrate_aligned_naive(
             None => result.push(candidate),
         }
     }
-    let out: Vec<AtypicalCluster> = result.into_iter().map(|e| e.cluster).collect();
+    let out: Vec<AtypicalCluster> = result.into_iter().map(Aligned::into_cluster).collect();
     debug_assert!(
         is_fixpoint_aligned(&out, params, alignment),
         "naive integration must return a pairwise-non-similar set"

@@ -12,7 +12,7 @@
 //! forgiving one when cluster sizes differ.
 
 use crate::cluster::AtypicalCluster;
-use cps_core::BalanceFunction;
+use cps_core::{BalanceFunction, Severity};
 
 /// Spatial similarity (Equation 3).
 pub fn spatial_similarity(a: &AtypicalCluster, b: &AtypicalCluster, g: BalanceFunction) -> f64 {
@@ -61,10 +61,30 @@ pub fn similarity_parts(
     tf2: &crate::feature::TemporalFeature,
     g: BalanceFunction,
 ) -> f64 {
-    let (sa, sb) = sf1.overlap(sf2);
-    let sim_sf = g.apply(sa.fraction_of(sf1.total()), sb.fraction_of(sf2.total()));
-    let (ta, tb) = tf1.overlap(tf2);
-    let sim_tf = g.apply(ta.fraction_of(tf1.total()), tb.fraction_of(tf2.total()));
+    let sim_sf = dimension_similarity(g, sf1.overlap(sf2), (sf1.total(), sf2.total()));
+    let sim_tf = dimension_similarity(g, tf1.overlap(tf2), (tf1.total(), tf2.total()));
+    combine_dimensions(sim_sf, sim_tf)
+}
+
+/// Equation 3 or 4 from one dimension's overlap masses `(Σ_{K₁∩K₂} μ¹,
+/// Σ_{K₁∩K₂} μ²)` and totals `(Σ_{K₁} μ¹, Σ_{K₂} μ²)`: the indexed
+/// integrator gathers the overlaps from its postings and computes the same
+/// value without walking the features.
+#[inline]
+pub(crate) fn dimension_similarity(
+    g: BalanceFunction,
+    overlap: (Severity, Severity),
+    totals: (Severity, Severity),
+) -> f64 {
+    g.apply(
+        overlap.0.fraction_of(totals.0),
+        overlap.1.fraction_of(totals.1),
+    )
+}
+
+/// Equation 2 from its two dimensions.
+#[inline]
+pub(crate) fn combine_dimensions(sim_sf: f64, sim_tf: f64) -> f64 {
     let sim = 0.5 * (sim_sf + sim_tf);
     // `fraction_of` maps 0/0 to 0 and every `g` maps [0,1]² into [0,1]
     // (harmonic handles its 0/0 pole explicitly), so no input — empty

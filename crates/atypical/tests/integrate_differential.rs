@@ -13,11 +13,14 @@
 use atypical::integrate::{
     integrate_aligned, is_fixpoint_aligned, IntegrationStats, TimeAlignment,
 };
+use atypical::similarity::similarity_folded;
 use atypical::AtypicalCluster;
 use cps_core::ids::ClusterIdGen;
 use cps_core::{BalanceFunction, ClusterId, Params, SensorId, Severity, TimeWindow};
 use cps_testkit::fixtures::random_clusters;
 use cps_testkit::{canonicalize, run_seeded};
+use proptest::prelude::*;
+use std::collections::VecDeque;
 
 const ALIGNMENTS: [TimeAlignment; 2] = [
     TimeAlignment::Absolute,
@@ -344,4 +347,193 @@ fn merge_cascades_stay_identical() {
             assert!(naive_stats.merges > 0, "cascade must actually merge");
         }
     });
+}
+
+#[test]
+fn one_dimension_overlaps_around_half() {
+    // A pair sharing keys in one dimension only scores at most ½, and
+    // exactly ½ when both put all their mass there: at δsim ≥ ½ the
+    // indexed path must prune it, just below ½ it must evaluate and merge
+    // it. Sensor-only pairs share sensors 1–2 and no (folded) window;
+    // window-only pairs share windows 70–71 — on different days, so they
+    // share them only when folded — and no sensor.
+    let wpd = 96u32;
+    let sensor_only: Vec<AtypicalCluster> = (0..6u32)
+        .map(|k| {
+            let split = 100 * u64::from(k + 1);
+            cluster(
+                u64::from(k),
+                &[(1, split), (2, 900 - split)],
+                &[(10 + 7 * k, 900)],
+            )
+        })
+        .collect();
+    let window_only: Vec<AtypicalCluster> = (0..6u32)
+        .map(|k| {
+            let split = 100 * u64::from(k + 1);
+            cluster(
+                u64::from(10 + k),
+                &[(100 + k, 900)],
+                &[(70 + k * wpd, split), (71 + k * wpd, 900 - split)],
+            )
+        })
+        .collect();
+    // Control pairs sharing both dimensions partially.
+    let both: Vec<AtypicalCluster> = (0..4u32)
+        .map(|k| {
+            cluster(
+                u64::from(20 + k),
+                &[(200, 300), (201 + k, 600)],
+                &[(80, 300), (81 + k, 600)],
+            )
+        })
+        .collect();
+    let one_dimension: Vec<AtypicalCluster> =
+        sensor_only.iter().chain(&window_only).cloned().collect();
+    let mixed: Vec<AtypicalCluster> = one_dimension.iter().chain(&both).cloned().collect();
+    for delta_sim in [0.49, 0.5, 0.51] {
+        for alignment in [
+            TimeAlignment::Absolute,
+            TimeAlignment::TimeOfDay {
+                windows_per_day: wpd,
+            },
+        ] {
+            for g in BalanceFunction::ALL {
+                let params = Params::paper_defaults()
+                    .with_delta_sim(delta_sim)
+                    .with_balance(g);
+                let context = format!("δsim {delta_sim} {alignment:?} {g:?}");
+                let (naive, indexed) =
+                    check_equivalence(&one_dimension, &params, alignment, &context);
+                if delta_sim >= 0.5 {
+                    assert_eq!(naive.merges, 0, "{context}");
+                    assert_eq!(
+                        indexed.comparisons, 0,
+                        "{context}: one-dimension pair evaluated"
+                    );
+                    assert_eq!(indexed.bound_skips, 0, "{context}");
+                } else {
+                    assert!(naive.merges > 0, "{context}: Sim = ½ must merge below ½");
+                }
+                check_equivalence(&mixed, &params, alignment, &format!("mixed {context}"));
+            }
+        }
+    }
+}
+
+/// `c` with its keys moved near `u32::MAX`, near 0 and to mid-range:
+/// posting tables must stay exact (and bounded) whatever the key values.
+fn far_keys(c: &AtypicalCluster) -> AtypicalCluster {
+    let sensor = |s: u32| match s % 3 {
+        0 => u32::MAX - s,
+        1 => s,
+        _ => (1 << 31) + s,
+    };
+    AtypicalCluster::new(
+        c.id,
+        c.sf.iter()
+            .map(|(s, sev)| (SensorId::new(sensor(s.raw())), sev))
+            .collect(),
+        c.tf.iter()
+            .map(|(w, sev)| (TimeWindow::new(u32::MAX - w.raw()), sev))
+            .collect(),
+    )
+}
+
+#[test]
+fn keys_near_u32_max_stay_identical() {
+    run_seeded("keys_near_u32_max_stay_identical", |seed| {
+        for round in 0..4u64 {
+            let input: Vec<AtypicalCluster> = random_clusters(seed.wrapping_add(round), 40, 8)
+                .iter()
+                .map(far_keys)
+                .collect();
+            for alignment in ALIGNMENTS {
+                for g in BalanceFunction::ALL {
+                    let params = Params::paper_defaults().with_balance(g).with_delta_sim(0.3);
+                    check_equivalence(
+                        &input,
+                        &params,
+                        alignment,
+                        &format!("far keys seed {seed} round {round} {alignment:?} {g:?}"),
+                    );
+                }
+            }
+        }
+    });
+}
+
+/// Algorithm 3 with the eager merge chain: every merge builds the full
+/// raw TF with `AtypicalCluster::merge`, and similarity folds per
+/// comparison. The reference for the integrators' deferred raw-TF merges.
+fn eager_time_of_day(
+    clusters: Vec<AtypicalCluster>,
+    params: &Params,
+    windows_per_day: u32,
+    ids: &mut ClusterIdGen,
+) -> Vec<AtypicalCluster> {
+    let mut queue: VecDeque<AtypicalCluster> = clusters.into();
+    let mut result: Vec<AtypicalCluster> = Vec::new();
+    while let Some(candidate) = queue.pop_front() {
+        let hit = result.iter().position(|existing| {
+            similarity_folded(&candidate, existing, params.balance, windows_per_day)
+                > params.delta_sim
+        });
+        match hit {
+            Some(i) => {
+                let existing = result.swap_remove(i);
+                queue.push_back(candidate.merge(&existing, ids.next_id()));
+            }
+            None => result.push(candidate),
+        }
+    }
+    result
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Deferred raw-TF materialisation equals the eager merge chain: same
+    /// clusters, ids, order and raw TFs, on both integrators, for clusters
+    /// that recur over several days.
+    #[test]
+    fn deferred_raw_tf_equals_eager_merge_chain(
+        shapes in prop::collection::vec(
+            (0u32..12, 0u32..20, 0u32..6, 1u32..5, 30u64..3600),
+            1..40,
+        ),
+        delta_sim in 0.1f64..0.7,
+        g_idx in 0usize..5,
+    ) {
+        let wpd = 96u32;
+        let input: Vec<AtypicalCluster> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(sensor, clock, day, width, secs))| {
+                let keys: Vec<(u32, u64)> = (0..width).map(|k| (k, secs + u64::from(k))).collect();
+                cluster(
+                    i as u64,
+                    &keys.iter().map(|&(k, s)| (sensor + k, s)).collect::<Vec<_>>(),
+                    &keys
+                        .iter()
+                        .map(|&(k, s)| (day * wpd + clock + k, s))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let params = Params::paper_defaults()
+            .with_delta_sim(delta_sim)
+            .with_balance(BalanceFunction::ALL[g_idx]);
+        let alignment = TimeAlignment::TimeOfDay { windows_per_day: wpd };
+        let eager = eager_time_of_day(input.clone(), &params, wpd, &mut ClusterIdGen::new(1_000));
+        for indexed in [false, true] {
+            let (out, _) = integrate_aligned(
+                input.clone(),
+                &params.with_indexed_integration(indexed),
+                alignment,
+                &mut ClusterIdGen::new(1_000),
+            );
+            prop_assert_eq!(&out, &eager);
+        }
+    }
 }

@@ -1,13 +1,8 @@
-//! Storage substrate: encode/decode and scan throughput, plus the
-//! aggregate R-tree range-aggregation kernel.
+//! Storage substrate: encode/decode throughput.
 
 use cps_core::{AtypicalRecord, SensorId, Severity, TimeWindow};
-use cps_geo::point::LOS_ANGELES;
-use cps_geo::BoundingBox;
-use cps_index::AggregateRTree;
 use cps_storage::format::{decode_atypical, encode_atypical};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_codec(c: &mut Criterion) {
@@ -47,22 +42,5 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_argtree(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(5);
-    let points: Vec<_> = (0..20_000)
-        .map(|_| {
-            (
-                LOS_ANGELES.offset_miles(rng.gen_range(-25.0..25.0), rng.gen_range(-25.0..25.0)),
-                Severity::from_secs(rng.gen_range(60..600)),
-            )
-        })
-        .collect();
-    let tree = AggregateRTree::bulk_load(points);
-    let query = BoundingBox::of_point(LOS_ANGELES).inflated_miles(10.0);
-    c.bench_function("argtree_range_severity_20k", |b| {
-        b.iter(|| black_box(tree.range_severity(&query).0))
-    });
-}
-
-criterion_group!(benches, bench_codec, bench_argtree);
+criterion_group!(benches, bench_codec);
 criterion_main!(benches);

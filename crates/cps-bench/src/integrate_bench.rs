@@ -2,9 +2,10 @@
 //! inverted-index integrator on sparse, traffic-like synthetic inputs.
 //!
 //! The `repro integrate` command times both strategies at several input
-//! sizes, asserts their outputs are bit-identical (the differential suite
-//! proves it per-seed; the bench re-checks it at scale on every run), and
-//! writes one JSON artifact so successive commits can be compared:
+//! sizes, under both time alignments, asserts their outputs are
+//! bit-identical (the differential suite proves it per-seed; the bench
+//! re-checks it at scale on every run), and writes one JSON artifact so
+//! successive commits can be compared:
 //!
 //! ```text
 //! repro integrate                       # 1k/5k/20k → BENCH_integrate.json
@@ -17,7 +18,14 @@
 //! deployments live in: a day of city traffic produces incidents on a
 //! tiny fraction of sensor pairs). A fraction of clusters revisit an
 //! earlier site so merge cascades still occur.
+//!
+//! Each size has two cells. The `absolute` cell integrates one stretch of
+//! windows with absolute alignment, as a day's micro-clusters are. The
+//! `time_of_day` cell is shaped like a guided query: clusters recurring
+//! over 20 days, integrated with [`TimeAlignment::TimeOfDay`], where
+//! folded windows are shared widely while sensors are not.
 
+use atypical::feature::{SpatialFeature, TemporalFeature};
 use atypical::integrate::{integrate_aligned, IntegrationStats, TimeAlignment};
 use atypical::AtypicalCluster;
 use cps_core::ids::ClusterIdGen;
@@ -48,11 +56,19 @@ impl Default for IntegrateBenchConfig {
     }
 }
 
-/// Timings and integrator counters for one input size.
+/// Windows per day of the `time_of_day` cell (5-minute windows).
+const WINDOWS_PER_DAY: u32 = 288;
+
+/// Days the `time_of_day` cell's clusters recur over.
+const DAYS: u32 = 20;
+
+/// Timings and integrator counters for one input size and alignment.
 #[derive(Clone, Debug)]
 pub struct SizeResult {
     /// Input micro-clusters.
     pub clusters: usize,
+    /// The cell's time alignment.
+    pub alignment: TimeAlignment,
     /// Macro-clusters both strategies produced.
     pub macro_clusters: usize,
     /// Best-of-`iters` wall time of the naive scan, milliseconds.
@@ -120,9 +136,40 @@ pub fn sparse_clusters(n: usize, seed: u64) -> Vec<AtypicalCluster> {
         .collect()
 }
 
+/// Guided-query-shaped micro-clusters: `n` clusters over `n / 8` incident
+/// sites, each site recurring on random days of a [`DAYS`]-day range near
+/// its own clock time. Sites own disjoint sensor blocks; their clock times
+/// collide, so once folded to time of day many clusters share windows but
+/// no sensor, while a site's recurrences share both and merge.
+pub fn recurring_clusters(n: usize, seed: u64) -> Vec<AtypicalCluster> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sites = (n / 8).max(1) as u32;
+    let clocks: Vec<u32> = (0..sites)
+        .map(|_| rng.gen_range(0..WINDOWS_PER_DAY - 8))
+        .collect();
+    (0..n)
+        .map(|i| {
+            let site = rng.gen_range(0..sites);
+            let day = rng.gen_range(0..DAYS);
+            let s_base = site * 8 + rng.gen_range(0..2);
+            let w_base = day * WINDOWS_PER_DAY + clocks[site as usize] + rng.gen_range(0..3);
+            let width = rng.gen_range(3..=6u32);
+            let per = rng.gen_range(60..1800u64);
+            let sf: SpatialFeature = (0..width)
+                .map(|k| (SensorId::new(s_base + k), Severity::from_secs(per)))
+                .collect();
+            let tf: TemporalFeature = (0..width)
+                .map(|k| (TimeWindow::new(w_base + k), Severity::from_secs(per)))
+                .collect();
+            AtypicalCluster::new(ClusterId::new(i as u64), sf, tf)
+        })
+        .collect()
+}
+
 fn time_strategy(
     input: &[AtypicalCluster],
     params: &Params,
+    alignment: TimeAlignment,
     iters: u32,
 ) -> (Vec<AtypicalCluster>, IntegrationStats, f64) {
     let mut best_ms = f64::INFINITY;
@@ -130,7 +177,7 @@ fn time_strategy(
     for _ in 0..iters.max(1) {
         let mut ids = ClusterIdGen::new(1_000_000_000);
         let start = Instant::now();
-        let result = integrate_aligned(input.to_vec(), params, TimeAlignment::Absolute, &mut ids);
+        let result = integrate_aligned(input.to_vec(), params, alignment, &mut ids);
         let ms = start.elapsed().as_secs_f64() * 1e3;
         best_ms = best_ms.min(ms);
         out = Some(result);
@@ -139,27 +186,32 @@ fn time_strategy(
     (clusters, stats, best_ms)
 }
 
-/// Runs the benchmark, asserting naive/indexed equivalence at every size.
+/// Runs the benchmark, asserting naive/indexed equivalence in every cell.
 pub fn run(config: &IntegrateBenchConfig) -> Vec<SizeResult> {
     let naive_params = Params::paper_defaults().with_indexed_integration(false);
     let indexed_params = Params::paper_defaults().with_indexed_integration(true);
-    config
-        .sizes
-        .iter()
-        .map(|&n| {
-            let input = sparse_clusters(n, config.seed);
+    let time_of_day = TimeAlignment::TimeOfDay {
+        windows_per_day: WINDOWS_PER_DAY,
+    };
+    let mut results = Vec::new();
+    for &n in &config.sizes {
+        for (alignment, input) in [
+            (TimeAlignment::Absolute, sparse_clusters(n, config.seed)),
+            (time_of_day, recurring_clusters(n, config.seed)),
+        ] {
             let (naive_out, naive_stats, naive_ms) =
-                time_strategy(&input, &naive_params, config.iters);
+                time_strategy(&input, &naive_params, alignment, config.iters);
             let (indexed_out, indexed_stats, indexed_ms) =
-                time_strategy(&input, &indexed_params, config.iters);
+                time_strategy(&input, &indexed_params, alignment, config.iters);
             assert_eq!(
                 naive_out, indexed_out,
-                "strategies diverged at {n} clusters (seed {})",
+                "strategies diverged at {n} clusters, {alignment:?} (seed {})",
                 config.seed
             );
             assert_eq!(naive_stats.merges, indexed_stats.merges);
             let r = SizeResult {
                 clusters: n,
+                alignment,
                 macro_clusters: naive_out.len(),
                 naive_ms,
                 indexed_ms,
@@ -167,16 +219,25 @@ pub fn run(config: &IntegrateBenchConfig) -> Vec<SizeResult> {
                 indexed_stats,
             };
             eprintln!(
-                "integrate {:>7} clusters: naive {:>10.2} ms, indexed {:>9.2} ms ({:>6.1}x), {} macros",
+                "integrate {:>7} clusters, {:<11}: naive {:>10.2} ms, indexed {:>9.2} ms ({:>6.1}x), {} macros",
                 r.clusters,
+                alignment_label(alignment),
                 r.naive_ms,
                 r.indexed_ms,
                 r.speedup(),
                 r.macro_clusters,
             );
-            r
-        })
-        .collect()
+            results.push(r);
+        }
+    }
+    results
+}
+
+fn alignment_label(alignment: TimeAlignment) -> &'static str {
+    match alignment {
+        TimeAlignment::Absolute => "absolute",
+        TimeAlignment::TimeOfDay { .. } => "time_of_day",
+    }
 }
 
 /// Writes the artifact consumed by the perf trajectory
@@ -201,6 +262,10 @@ pub fn save_json(
         .map(|r| {
             obj(vec![
                 ("clusters", Value::U64(r.clusters as u64)),
+                (
+                    "alignment",
+                    Value::Str(alignment_label(r.alignment).to_string()),
+                ),
                 ("macro_clusters", Value::U64(r.macro_clusters as u64)),
                 ("naive_ms", Value::F64(r.naive_ms)),
                 ("indexed_ms", Value::F64(r.indexed_ms)),
@@ -258,6 +323,24 @@ mod tests {
     }
 
     #[test]
+    fn recurring_clusters_span_days_and_merge_when_folded() {
+        let a = recurring_clusters(400, 7);
+        assert_eq!(a, recurring_clusters(400, 7));
+        let days: std::collections::BTreeSet<u32> = a
+            .iter()
+            .map(|c| c.time_range().start.raw() / WINDOWS_PER_DAY)
+            .collect();
+        assert!(days.len() > 10, "clusters recur over many days: {days:?}");
+        let params = Params::paper_defaults();
+        let folded = TimeAlignment::TimeOfDay {
+            windows_per_day: WINDOWS_PER_DAY,
+        };
+        let (_, stats) = integrate_aligned(a, &params, folded, &mut ClusterIdGen::new(1_000));
+        assert!(stats.merges > 0, "recurrences merge across days");
+        assert!(stats.candidates_pruned > 0);
+    }
+
+    #[test]
     fn tiny_run_reports_equal_outputs_and_saves() {
         let config = IntegrateBenchConfig {
             sizes: vec![50, 120],
@@ -265,7 +348,7 @@ mod tests {
             seed: 9,
         };
         let results = run(&config);
-        assert_eq!(results.len(), 2);
+        assert_eq!(results.len(), 4, "two sizes × two alignments");
         for r in &results {
             assert!(r.macro_clusters > 0 && r.macro_clusters <= r.clusters);
             assert!(r.indexed_stats.comparisons <= r.naive_stats.comparisons);
@@ -283,7 +366,20 @@ mod tests {
         let sizes = serde::get_field(entries, "sizes")
             .as_array()
             .expect("sizes array");
-        assert_eq!(sizes.len(), 2);
+        assert_eq!(sizes.len(), 4);
+        let alignments: Vec<&str> = sizes
+            .iter()
+            .map(|cell| {
+                match serde::get_field(cell.as_object().expect("cell object"), "alignment") {
+                    serde::Value::Str(label) => label.as_str(),
+                    other => panic!("alignment label expected, got {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(
+            alignments,
+            ["absolute", "time_of_day", "absolute", "time_of_day"]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

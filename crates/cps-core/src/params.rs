@@ -109,7 +109,9 @@ pub struct Params {
     /// (Algorithm 3). The indexed path produces results identical to the
     /// naive pairwise scan — candidates are exact because zero key overlap
     /// implies zero similarity — it only skips provably sub-threshold
-    /// comparisons. Default `true`; turn off to run the naive oracle.
+    /// comparisons. Default `true`; turn off to run the naive oracle in
+    /// offline integration (the differential suites do). The online
+    /// monitor always integrates through the index.
     pub indexed_integration: bool,
     /// Worker threads for offline forest/cube construction (leaf builds,
     /// sibling roll-ups, cuboid materialization). `0` means "all available

@@ -12,8 +12,8 @@
 //! * [`UniformGrid`] + [`RegionHierarchy`] — the pre-defined region
 //!   partition (the zipcode-area stand-in) over which the bottom-up baseline
 //!   and the red-zone filter aggregate,
-//! * [`RTree`] — an STR bulk-loaded R-tree used for spatial range queries
-//!   and the aggregate-R-tree related-work baseline in `cps-index`.
+//! * [`RTree`] — an STR bulk-loaded R-tree for box/radius queries over
+//!   arbitrary payloads.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

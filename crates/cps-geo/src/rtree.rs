@@ -1,10 +1,9 @@
 //! An STR bulk-loaded R-tree.
 //!
 //! The related-work section of the paper contrasts the atypical-cluster
-//! model with R-tree based spatial OLAP (Papadias et al.). This tree is the
-//! shared substrate: `cps-index` builds its aggregate R-tree baseline on the
-//! same Sort-Tile-Recursive packing, and the geometry layer uses it for
-//! box/radius queries over arbitrary payloads.
+//! model with R-tree based spatial OLAP (Papadias et al.). This tree packs
+//! its nodes Sort-Tile-Recursive and answers box/radius queries over
+//! arbitrary payloads.
 
 use crate::{BoundingBox, Point};
 

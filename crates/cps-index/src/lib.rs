@@ -11,21 +11,14 @@
 //! * [`StIndex`] — the indexed implementation: per-sensor window lists
 //!   (binary searched over the `δt` horizon) crossed with the network's
 //!   `δd` sensor neighbourhoods,
-//! * [`NaiveNeighbors`] — the `O(n)`-per-seed full scan,
-//! * [`AggregateRTree`] — a Papadias-style aggregate R-tree over per-sensor
-//!   severity, the related-work baseline for spatial range aggregation,
-//! * [`InvertedIndex`] — key → slot posting lists; the exact candidate
-//!   generator behind indexed cluster integration (`Sim` is zero whenever
-//!   no sensor and no window is shared, so non-candidates are provably
-//!   below any merge threshold).
+//! * [`NaiveNeighbors`] — the `O(n)`-per-seed full scan.
+//!
+//! The postings behind indexed cluster integration are private to
+//! `atypical::integrate_index`, their only user.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod argtree;
-pub mod inverted;
 pub mod st_index;
 
-pub use argtree::AggregateRTree;
-pub use inverted::InvertedIndex;
 pub use st_index::{NaiveNeighbors, NeighborSource, StIndex};

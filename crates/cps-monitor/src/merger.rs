@@ -549,12 +549,7 @@ impl Merger {
         let mut live = self.shared.live.lock();
         let id = live.ids.next_id();
         let cluster = AtypicalCluster::from_event(id, &event);
-        live.admit(
-            cluster,
-            self.shared.spec,
-            &self.shared.partition,
-            &self.shared.params,
-        );
+        live.admit(cluster, self.shared.spec, &self.shared.partition);
         self.metrics()
             .micro_clusters
             .fetch_add(1, Ordering::Relaxed);

@@ -189,4 +189,11 @@ cargo run -q -p cps-bench --bin repro -- monitor-recovery \
   --bench-out results/BENCH_recovery_audit_smoke.json
 test -s results/BENCH_recovery_audit_smoke.json
 
+# Repository benchmark smoke: every workload end to end at tiny scale
+# with every answer-equality gate (the benchmark is a Cargo workspace of
+# its own, so the workspace test runs above do not build it). A kernel
+# change that alters an answer fails here, not only in a benchmark run.
+echo "==> cargo test --manifest-path benchmark/Cargo.toml"
+cargo test --manifest-path benchmark/Cargo.toml -q
+
 echo "CI green."
